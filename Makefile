@@ -1,6 +1,6 @@
 # Standard checks for the treemine repo. `make check` is the tier-1
 # gate (vet + build + full tests); `make race` re-runs the concurrent
-# code — parallel forest mining, shard merging, the streaming pipeline,
+# code — the forest-mining round pool, shard merging, the streaming pipeline,
 # the parallel distance-matrix fill, and the parallel parsimony search —
 # under the race detector (the CI gate runs `make check race chaos`);
 # `make chaos` runs the fault-injection and cancellation suite (worker
@@ -14,15 +14,17 @@
 # bench-parsimony` runs just the bit-parallel Fitch engine and parallel
 # search benchmarks (BENCH_4.json); `make bench-mine` runs the §48
 # mining-core ablation suite plus its regression gate against
-# BENCH_5.json (fails on a >20% ns/op slowdown of the blocked path);
+# BENCH_5.json (fails when the blocked path's same-process speedup over
+# the in-tree seed leg drops >20% below the recorded ratio);
 # `make smoke` builds the cousinserve daemon, starts it on the testdata
 # index, runs one query of each kind, and requires a drained exit 0
 # after SIGTERM (see DESIGN.md §49); `make bench-serve` regenerates the
 # zero-copy serving recording (BENCH_6.json): decoded vs memory-mapped
 # v4 open/query cost on the 100k-tree corpus (see DESIGN.md §50);
 # `make bench-merge` runs the merge-path benchmarks plus their
-# regression gate against BENCH_7.json (fails on a >20% ns/op slowdown
-# of mergeRuns or FoldTranslated); `make bench-distmine` regenerates
+# regression gate against BENCH_7.json (fails when mergeRuns' or
+# FoldTranslated's same-process speedup over its in-tree reference drops
+# >20% below the recorded ratio); `make bench-distmine` regenerates
 # the distributed-mining recording (BENCH_7.json tables): plan/worker/
 # merge over the 100k-tree corpus at 1/2/4 workers plus the
 # out-of-core leg (see DESIGN.md §51); `make smoke-dist` runs the

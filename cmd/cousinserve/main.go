@@ -38,7 +38,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -58,15 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cousinserve:", err)
 		os.Exit(1)
 	}
-}
-
-// publishCacheStats exposes the result-cache counters at /debug/vars.
-// expvar panics on duplicate names, so re-publishing (tests run the
-// daemon many times per process) replaces the previous server's gauge.
-var cacheStatsVar = expvar.NewMap("cousinserve_cache")
-
-func publishCacheStats(s *serve.Server) {
-	cacheStatsVar.Set("stats", expvar.Func(func() any { return s.CacheStats() }))
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -95,7 +85,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	defer b.Close()
 
 	s := serve.New(b, serve.Config{CacheEntries: *cache, RequestTimeout: *timeout})
-	publishCacheStats(s)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -95,3 +95,39 @@ func TestSweep(t *testing.T) {
 		t.Fatalf("Sweep endpoints = %v", got)
 	}
 }
+
+// spin burns n units of CPU work the compiler cannot elide.
+func spin(n int) {
+	x := uint64(1)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	spinSink = x
+}
+
+var spinSink uint64
+
+// TestSpeedupGate checks the gate on bodies of known relative cost: a
+// reference doing twice the production work measures about 2×, which
+// clears a recorded 2× and fails a recorded 4×.
+func TestSpeedupGate(t *testing.T) {
+	ref := func(n int) {
+		for i := 0; i < n; i++ {
+			spin(20000)
+		}
+	}
+	prod := func(n int) {
+		for i := 0; i < n; i++ {
+			spin(10000)
+		}
+	}
+	if best, err := SpeedupGate("2x", 2, 1.2, 3, 5, time.Millisecond, ref, prod); err != nil {
+		t.Fatalf("a 2× reference failed a recorded 2× (best %.2f×): %v", best, err)
+	}
+	if best, err := SpeedupGate("2x", 4, 1.2, 3, 5, time.Millisecond, ref, prod); err == nil {
+		t.Fatalf("a 2× reference passed a recorded 4× (best %.2f×)", best)
+	}
+	if _, err := SpeedupGate("none", 0, 1.2, 3, 5, time.Millisecond, ref, prod); err == nil {
+		t.Fatal("a missing recorded speedup passed")
+	}
+}

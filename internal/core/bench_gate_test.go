@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"os"
 	"testing"
+	"time"
 
 	"treemine/internal/benchutil"
 )
@@ -12,48 +12,67 @@ import (
 // root.
 const bench5Path = "../../BENCH_5.json"
 
-// measureBest re-runs a benchmark body n times and keeps the fastest
-// ns/op — the recording boxes are small, so min-of-N is the stable
-// statistic (noise only ever adds time).
-func measureBest(n int, f func(b *testing.B)) float64 {
-	best := math.MaxFloat64
-	for i := 0; i < n; i++ {
-		r := testing.Benchmark(f)
-		if v := float64(r.NsPerOp()); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// TestBenchMineCoreRegressionGate is the repo's first benchmark
-// regression gate: it re-measures the production mining path
-// (accumulateBlocked) at the recorded BenchmarkMineCore shapes and
-// fails if ns/op regressed more than 20% against BENCH_5.json. Skipped
-// under -short; run explicitly via `make bench-mine`.
-func TestBenchMineCoreRegressionGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark regression gate skipped in -short mode")
+// mineCoreGate measures the production leg's speedup over the in-tree
+// seed leg at the recorded BenchmarkMineCore shapes — interleaved, min
+// of 100 short samples, in this process — and returns one error per
+// shape whose speedup fell below BENCH_5.json's ratio_gates entry ÷ 1.2
+// (see benchutil.SpeedupGate). blocked is the production leg under test.
+func mineCoreGate(t *testing.T, blocked func(m *miner, ac *accum)) []error {
+	t.Helper()
+	if benchutil.RaceEnabled {
+		t.Skip("speedups measured under the race detector are not production speedups")
 	}
 	if _, err := os.Stat(bench5Path); err != nil {
 		t.Skipf("no recorded %s: %v", bench5Path, err)
 	}
-	recs, err := benchutil.LoadBenchRecords(bench5Path)
+	gates, err := benchutil.LoadRatioGates(bench5Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tol = 1.2
+	var errs []error
 	for _, shape := range []string{"fig6", "hub"} {
-		name := "BenchmarkMineCore/" + shape + "/blocked"
-		rec, ok := recs[name]
+		name := "BenchmarkMineCore/" + shape + "/seed÷blocked"
+		rec, ok := gates[name]
 		if !ok {
 			t.Fatalf("%s missing from %s", name, bench5Path)
 		}
-		measured := measureBest(3, func(b *testing.B) {
-			benchAccumulate(b, shape, func(m *miner, ac *accum) { m.accumulateBlocked(ac) })
-		})
-		if err := benchutil.CheckNsOp(name, measured, rec, tol); err != nil {
-			t.Error(err)
+		speedup, err := benchutil.SpeedupGate(name, rec, 1.2, 3, 100, 2*time.Millisecond, seedOps(shape), accumulateOps(shape, blocked))
+		t.Logf("%s: %.2f× (recorded %.2f×)", name, speedup, rec)
+		if err != nil {
+			errs = append(errs, err)
 		}
+	}
+	return errs
+}
+
+// TestBenchMineCoreRegressionGate is the mining core's regression gate:
+// it fails if the production path (accumulateBlocked) lost more than a
+// 20% share of its recorded lead over the seed enumeration at the
+// BenchmarkMineCore shapes. Both legs run on this machine, so the gate
+// holds on any box. Skipped under -short; run explicitly via `make
+// bench-mine`.
+func TestBenchMineCoreRegressionGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark regression gate skipped in -short mode")
+	}
+	for _, err := range mineCoreGate(t, func(m *miner, ac *accum) { m.accumulateBlocked(ac) }) {
+		t.Error(err)
+	}
+}
+
+// TestBenchMineCoreRegressionGateCatchesSlowdown proves the gate still
+// bites: a production leg doing its work twice per op must fail it at
+// every shape.
+func TestBenchMineCoreRegressionGateCatchesSlowdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark regression gate skipped in -short mode")
+	}
+	errs := mineCoreGate(t, func(m *miner, ac *accum) {
+		m.accumulateBlocked(ac)
+		ac.discard()
+		m.accumulateBlocked(ac)
+	})
+	if len(errs) != 2 {
+		t.Fatalf("a doubled blocked leg failed the gate at %d of 2 shapes: %v", len(errs), errs)
 	}
 }

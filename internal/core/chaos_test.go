@@ -129,12 +129,20 @@ func TestStreamShardCancelCheckpointResumeDifferential(t *testing.T) {
 }
 
 // TestLevelVecCancelledStreamPrefixDifferential pins the §48 blocked
-// accumulation path under mid-stream cancellation: every tree of this
-// corpus drains through the dense cache-blocked accumulator (the small
-// alphabet keeps the miner in dense mode), and the partial shard a
-// cancelled MineForestStreamShardCtx returns must still be the EXACT
-// support state of a stream prefix — finalizing it equals batch-mining
-// the same prefix tree-for-tree.
+// accumulation path under a failed round: every tree of this corpus
+// drains through the dense cache-blocked accumulator (the small alphabet
+// keeps the miner in dense mode), and the partial shard a cancelled or
+// panicking MineForestStreamShardCtx returns must still be the EXACT
+// state of a stream prefix — finalizing it equals batch-mining the same
+// prefix tree-for-tree, and its canonical Snapshot, labels included,
+// equals that of a shard mined on just the prefix.
+//
+// The cases cover where the failure lands: a cancellation seen by the
+// fill loop (the round never starts), one seen by the workers of a full
+// round, and an injected worker panic mid-round. In the last two the
+// alphabet grows along the stream, so the failed round interns labels
+// no earlier round had and only a rollback of the shared symbol table
+// keeps them out of the snapshot.
 func TestLevelVecCancelledStreamPrefixDifferential(t *testing.T) {
 	const n, seed, size, alpha = 500, 48, 60, 12
 	opts := DefaultForestOptions()
@@ -157,28 +165,66 @@ func TestLevelVecCancelledStreamPrefixDifferential(t *testing.T) {
 	m.acc.discard()
 	m.release()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	it := &cancelAfterIterator{inner: newGenIterator(seed, n, size, alpha), cancel: cancel, k: 200}
-	partial, err := MineForestStreamShardCtx(ctx, it, opts, StreamConfig{Workers: 3, BatchSize: 16})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled stream error = %v, want context.Canceled", err)
-	}
-	p := partial.Trees()
-	if p == 0 || p > 200 {
-		t.Fatalf("shard covers %d trees, want a nonempty prefix ≤ the cancellation point 200", p)
-	}
+	// Rounds are 3 workers × 16 trees = 48 trees; 192 closes round 4.
+	for _, tc := range []struct {
+		name    string
+		grow    int   // alphabet growth period (0: fixed alphabet)
+		limit   int   // the failure lands at or before this tree
+		cancel  bool  // cancel after limit trees, else panic a worker
+		wantErr error // what the stream must return
+	}{
+		{"cancel-in-fill", 0, 200, true, context.Canceled},
+		{"cancel-in-round", 4, 192, true, context.Canceled},
+		{"core-mine-worker=panic", 4, 160, false, guard.ErrPanic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults.Reset()
+			t.Cleanup(faults.Reset)
+			gen := func() TreeIterator {
+				g := newGenIterator(seed, n, size, alpha)
+				g.grow = tc.grow
+				return g
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			it := gen()
+			if tc.cancel {
+				it = &cancelAfterIterator{inner: it, cancel: cancel, k: tc.limit}
+			} else {
+				faults.Enable(faults.MineWorker, faults.Spec{Mode: faults.ModePanic, After: tc.limit, Count: 1})
+			}
+			partial, err := MineForestStreamShardCtx(ctx, it, opts, StreamConfig{Workers: 3, BatchSize: 16})
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("failed stream error = %v, want %v", err, tc.wantErr)
+			}
+			faults.Reset()
+			p := partial.Trees()
+			if p == 0 || p > tc.limit {
+				t.Fatalf("shard covers %d trees, want a nonempty prefix ≤ the failure point %d", p, tc.limit)
+			}
 
-	fresh := newGenIterator(seed, n, size, alpha)
-	forest := make([]*tree.Tree, p)
-	for i := range forest {
-		if forest[i], err = fresh.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := MineForest(forest, opts)
-	if got := partial.Finalize(opts.MinSup); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cancelled shard diverged from its %d-tree prefix: %d vs %d pairs", p, len(got), len(want))
+			fresh := gen()
+			forest := make([]*tree.Tree, p)
+			for i := range forest {
+				if forest[i], err = fresh.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := MineForest(forest, opts)
+			if got := partial.Finalize(opts.MinSup); !reflect.DeepEqual(got, want) {
+				t.Fatalf("failed shard diverged from its %d-tree prefix: %d vs %d pairs", p, len(got), len(want))
+			}
+			ref := NewSupportShard(opts)
+			for _, tr := range forest {
+				ref.AddTree(tr)
+			}
+			_, gotTrees, gotLabels, gotItems := partial.Snapshot()
+			_, wantTrees, wantLabels, wantItems := ref.Snapshot()
+			if gotTrees != wantTrees || !reflect.DeepEqual(gotLabels, wantLabels) || !reflect.DeepEqual(gotItems, wantItems) {
+				t.Fatalf("failed shard's snapshot differs from its %d-tree prefix's: %d vs %d trees, %d vs %d labels, %d vs %d items",
+					p, gotTrees, wantTrees, len(gotLabels), len(wantLabels), len(gotItems), len(wantItems))
+			}
+		})
 	}
 }
 

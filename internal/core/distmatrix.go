@@ -283,3 +283,13 @@ func TDistMatrixParallelCtx(ctx context.Context, trees []*tree.Tree, v Variant, 
 	}
 	return ProfileDistMatrixCtx(ctx, profiles, workers)
 }
+
+// wrapWorkerErr labels a worker failure with what it was doing, but
+// passes bare context cancellations through unchanged — callers match
+// those against ctx.Err() and gain nothing from a location label.
+func wrapWorkerErr(err error, doing string) error {
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return err
+	}
+	return fmt.Errorf("%s: %w", doing, err)
+}

@@ -127,8 +127,8 @@ func randForest(rng *rand.Rand, trees, size, alpha int) []*tree.Tree {
 
 // TestMineForestInternedMatchesGeneric checks the interned forest miner
 // (and its parallel variant, at several worker counts) against the
-// string-keyed reference implementation across random forests, with and
-// without IgnoreDist.
+// first-principles forest oracle across random forests, with and without
+// IgnoreDist.
 func TestMineForestInternedMatchesGeneric(t *testing.T) {
 	f := func(seed int64, nt, size, alpha, maxD, minSup uint8, ignore bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -138,14 +138,14 @@ func TestMineForestInternedMatchesGeneric(t *testing.T) {
 			MinSup:     int(minSup)%3 + 1,
 			IgnoreDist: ignore,
 		}
-		want := mineForestGeneric(forest, opts)
+		want := naiveForestOracle(forest, opts)
 		if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
-			t.Logf("opts=%+v: MineForest %v != generic %v", opts, got, want)
+			t.Logf("opts=%+v: MineForest %v != oracle %v", opts, got, want)
 			return false
 		}
 		for _, workers := range []int{2, 3} {
 			if got := MineForestParallel(forest, opts, workers); !reflect.DeepEqual(got, want) {
-				t.Logf("opts=%+v workers=%d: parallel %v != generic %v", opts, workers, got, want)
+				t.Logf("opts=%+v workers=%d: parallel %v != oracle %v", opts, workers, got, want)
 				return false
 			}
 		}
@@ -158,7 +158,7 @@ func TestMineForestInternedMatchesGeneric(t *testing.T) {
 
 // TestMineForestFallbackPastPackedDist pins the behavior of the
 // MaxDist > MaxPackedDist region: both forest miners must still agree
-// with the generic reference (they all take string-keyed paths there).
+// with the first-principles oracle (they take string-keyed paths there).
 func TestMineForestFallbackPastPackedDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	forest := randForest(rng, 5, 40, 5)
@@ -166,7 +166,7 @@ func TestMineForestFallbackPastPackedDist(t *testing.T) {
 		Options: Options{MaxDist: MaxPackedDist + 6, MinOccur: 1},
 		MinSup:  2,
 	}
-	want := mineForestGeneric(forest, opts)
+	want := naiveForestOracle(forest, opts)
 	if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MineForest fallback: %v != %v", got, want)
 	}

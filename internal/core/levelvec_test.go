@@ -171,16 +171,24 @@ func TestMineSteadyStateZeroAlloc(t *testing.T) {
 	sup.init(syms.Len(), supportSlots(opts))
 	m := minerPool.Get().(*miner)
 	defer m.release()
+	fold := func() {
+		items, minN := mineTreeSupport(m, opts)
+		items.drain(func(a, b uint32, dc int, n int32) {
+			if n >= minN {
+				sup.add(a, b, dc, 1)
+			}
+		})
+	}
 	for _, tr := range trees {
 		m.reset(tr, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+		fold()
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := trees[i%len(trees)]
 		i++
 		m.reset(tr, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+		fold()
 	})
 	sup.discard()
 	if allocs != 0 {

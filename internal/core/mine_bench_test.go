@@ -27,24 +27,33 @@ func benchTree(shape string) *tree.Tree {
 	return treegen.Fanout(rng, p)
 }
 
-// benchAccumulate times one accumulate strategy over a warmed miner
-// with a pre-interned shared symbol table (the forest configuration):
-// the per-op cost is one full mining pass (bucket build included) with
-// results discarded, exactly the per-tree unit of forest mining.
-func benchAccumulate(b *testing.B, shape string, run func(m *miner, ac *accum)) {
+// accumulateOps returns a body running n operations of one accumulate
+// strategy over a warmed miner with a pre-interned shared symbol table
+// (the forest configuration): one op is one full mining pass (bucket
+// build included) with results discarded, exactly the per-tree unit of
+// forest mining.
+func accumulateOps(shape string, run func(m *miner, ac *accum)) func(n int) {
 	t := benchTree(shape)
 	syms := NewSymbols()
 	syms.InternTree(t)
 	opts := DefaultOptions()
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			m := getMiner(t, opts, syms)
+			m.acc.init(m.syms.Len(), m.nd)
+			run(m, &m.acc)
+			m.acc.discard()
+			m.release()
+		}
+	}
+}
+
+// benchAccumulate times one accumulate strategy as a benchmark.
+func benchAccumulate(b *testing.B, shape string, run func(m *miner, ac *accum)) {
+	ops := accumulateOps(shape, run)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := getMiner(t, opts, syms)
-		m.acc.init(m.syms.Len(), m.nd)
-		run(m, &m.acc)
-		m.acc.discard()
-		m.release()
-	}
+	ops(b.N)
 }
 
 // seedAccum, seedMiner, and seedAccumulatePairs below are faithful
@@ -231,6 +240,25 @@ func seedAccumulatePairs(m *seedMiner, ac *seedAccum) {
 	}
 }
 
+// seedOps returns a body running n operations of the seed mining unit,
+// set up like accumulateOps — the reference leg of the mining gate.
+func seedOps(shape string) func(n int) {
+	t := benchTree(shape)
+	syms := NewSymbols()
+	syms.InternTree(t)
+	opts := DefaultOptions()
+	var sm seedMiner
+	var sac seedAccum
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			sm.reset(t, opts, syms)
+			sac.init(syms.Len(), sm.nd)
+			seedAccumulatePairs(&sm, &sac)
+			sac.discard()
+		}
+	}
+}
+
 // BenchmarkMineCore is the ablation suite of the §48 rework: seed
 // pair enumeration (against the replica of the original accumulator)
 // vs symbol-vector counting vs the word-blocked sweep, at the Fig6
@@ -239,20 +267,10 @@ func seedAccumulatePairs(m *seedMiner, ac *seedAccum) {
 func BenchmarkMineCore(b *testing.B) {
 	for _, shape := range []string{"fig6", "dense", "hub"} {
 		b.Run(shape+"/seed", func(b *testing.B) {
-			t := benchTree(shape)
-			syms := NewSymbols()
-			syms.InternTree(t)
-			opts := DefaultOptions()
-			var sm seedMiner
-			var sac seedAccum
+			ops := seedOps(shape)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sm.reset(t, opts, syms)
-				sac.init(syms.Len(), sm.nd)
-				seedAccumulatePairs(&sm, &sac)
-				sac.discard()
-			}
+			ops(b.N)
 		})
 		b.Run(shape+"/symvec", func(b *testing.B) {
 			benchAccumulate(b, shape, func(m *miner, ac *accum) { m.accumulateSymVec(ac) })

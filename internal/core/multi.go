@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"runtime"
+
 	"treemine/internal/tree"
 )
 
@@ -38,28 +41,51 @@ type FrequentPair struct {
 // Its running time is O(Σ|Ti|²), linear in the number of trees for
 // bounded tree size — the paper's Figures 6 and 7.
 //
-// One symbol table is interned over the whole forest in a read-only
-// pass; every per-tree pass and the support accumulation then run on
-// integer keys in reused buffers, so the cost per tree after the first
-// is pair generation plus O(distinct items) — no string hashing and
-// near-zero allocation. Labels come back as strings only in the result.
+// The forest is mined as one round of the streaming pool on a single
+// worker: one symbol table is interned over the whole forest, and every
+// per-tree pass and the support accumulation then run on integer keys in
+// reused buffers, so the cost per tree after the first is pair
+// generation plus O(distinct items) — no string hashing and near-zero
+// allocation. Labels come back as strings only in the result.
 func MineForest(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	if !packable(opts.MaxDist) {
-		return mineForestGeneric(trees, opts)
+	return MineForestParallel(trees, opts, 1)
+}
+
+// MineForestParallel is MineForest with per-tree mining fanned out over
+// workers goroutines. Mining is embarrassingly parallel across trees —
+// each tree's item set is independent — so support counting is the only
+// synchronization point: the forest is one round of the streaming pool,
+// whose workers share one symbol table lock-free and fold into private
+// accumulators drained at the end. The result is identical to
+// MineForest's (deterministic, sorted), only faster on large forests.
+//
+// workers ≤ 0 selects GOMAXPROCS.
+func MineForestParallel(trees []*tree.Tree, opts ForestOptions, workers int) []FrequentPair {
+	fp, err := MineForestParallelCtx(context.Background(), trees, opts, workers)
+	if err != nil {
+		// Unreachable without a cancellable context or an armed
+		// failpoint: re-raise so the no-error signature keeps its
+		// original crash semantics instead of silently dropping work.
+		panic(err)
 	}
-	syms := NewSymbols()
-	for _, t := range trees {
-		syms.InternTree(t)
+	return fp
+}
+
+// MineForestParallelCtx is MineForestParallel under a context: workers
+// check ctx between trees and the call returns ctx.Err() promptly, and a
+// panicking worker is contained into an error naming the offending tree
+// index while the remaining workers drain.
+func MineForestParallelCtx(ctx context.Context, trees []*tree.Tree, opts ForestOptions, workers int) ([]FrequentPair, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	var sup accum
-	sup.init(syms.Len(), supportSlots(opts))
-	m := minerPool.Get().(*miner)
-	defer m.release()
-	for _, t := range trees {
-		m.reset(t, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+	// One round: workers × ⌈n/workers⌉ ≥ n trees.
+	cfg := StreamConfig{Workers: workers, BatchSize: (len(trees) + workers - 1) / workers}
+	sh, err := MineForestStreamShardCtx(ctx, NewSliceIterator(trees), opts, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return drainSupport(&sup, syms, opts)
+	return sh.Finalize(opts.MinSup), nil
 }
 
 // supportSlots returns the number of distance slots support accumulation
@@ -75,78 +101,43 @@ func supportSlots(opts ForestOptions) int {
 	return int(opts.MaxDist) + 1
 }
 
-// mineTreeSupport mines the tree the miner is pointed at and folds its
-// qualifying items into sup: +1 per item the tree contains with
-// occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist.
-func mineTreeSupport(m *miner, opts ForestOptions, sup *accum) {
+// mineTreeSupport mines the tree the miner is pointed at and returns the
+// accumulator holding its items with the count an item needs to support
+// the tree: folding the tree in is draining items and adding one support
+// per item of count ≥ minN. That is one per item the tree contains with
+// occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist
+// (where dc is always 0, the single wildcard slot). items is the miner's
+// own buffer: drain it before the miner mines again.
+func mineTreeSupport(m *miner, opts ForestOptions) (items *accum, minN int32) {
 	if m.maxJ == 0 {
-		return
+		return &m.acc, 1 // drained after its last use, so empty
 	}
 	m.acc.init(m.syms.Len(), m.nd)
 	m.accumulate(&m.acc)
-	minOccur := opts.MinOccur
-	if opts.IgnoreDist {
-		// Collapse the tree's distances first so each label pair counts
-		// one support regardless of how many distances realize it.
-		m.wild.init(m.syms.Len(), 1)
-		wild := &m.wild
-		m.acc.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) >= minOccur {
-				wild.add(a, b, 0, 1)
-			}
-		})
-		wild.drain(func(a, b uint32, dc int, n int32) {
-			sup.add(a, b, 0, 1)
-		})
-		return
+	if !opts.IgnoreDist {
+		return &m.acc, int32(opts.MinOccur)
 	}
+	// Collapse the tree's distances first so each label pair counts one
+	// support regardless of how many distances realize it.
+	m.wild.init(m.syms.Len(), 1)
+	wild, minOccur := &m.wild, int32(opts.MinOccur)
 	m.acc.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) >= minOccur {
-			sup.add(a, b, dc, 1)
+		if n >= minOccur {
+			wild.add(a, b, 0, 1)
 		}
 	})
+	return wild, 1
 }
 
-// drainSupport converts accumulated support counts into the sorted
-// public result.
-func drainSupport(sup *accum, syms *Symbols, opts ForestOptions) []FrequentPair {
-	var out []FrequentPair
-	sup.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) < opts.MinSup {
-			return
-		}
-		d := Dist(dc)
-		if opts.IgnoreDist {
-			d = DistWild
-		}
-		out = append(out, FrequentPair{Key: NewKey(syms.Label(a), syms.Label(b), d), Support: int(n)})
-	})
-	SortFrequentPairs(out)
-	return out
-}
-
-// mineForestGeneric is the string-keyed fallback (and the reference
-// implementation the interned path is property-tested against): mine
-// each tree to an ItemSet and count support in one map.
-func mineForestGeneric(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	support := make(map[Key]int)
-	for _, t := range trees {
-		items := Mine(t, opts.Options)
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
-		}
+// supportItems mines t to the string-keyed items it contributes to
+// forest support — the per-tree unit past MaxPackedDist, where packed
+// keys cannot represent the distances.
+func supportItems(t *tree.Tree, opts ForestOptions) ItemSet {
+	items := Mine(t, opts.Options)
+	if opts.IgnoreDist {
+		items = items.IgnoreDist()
 	}
-	var out []FrequentPair
-	for k, s := range support {
-		if s >= opts.MinSup {
-			out = append(out, FrequentPair{Key: k, Support: s})
-		}
-	}
-	SortFrequentPairs(out)
-	return out
+	return items
 }
 
 // Support returns the support of a specific label pair at distance d

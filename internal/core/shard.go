@@ -11,17 +11,18 @@ import (
 // SupportShard is a mergeable partial result of Multiple_Tree_Mining: the
 // per-pair support counts of some subset of a forest, together with the
 // shard's own incrementally grown symbol table. Shards are the unit of
-// streamed and distributed forest mining — workers each fold their slice
-// of the stream into a private shard, shards merge pairwise (symbol IDs
-// are remapped through labels, so shards built over disjoint label sets
-// combine correctly), and Finalize renders the merged counts into the
+// streamed and distributed forest mining — the stream folds every round
+// into one shard, distributed workers each mine a partition into their
+// own, shards merge pairwise (symbol IDs are remapped through labels, so
+// shards built over disjoint label sets combine correctly), and Finalize renders the merged counts into the
 // same sorted FrequentPair output MineForest produces. Partial shards
 // serialize through internal/store's version-3 format, which is what
 // lets a long mining run checkpoint and resume.
 //
 // All methods are safe for concurrent use; AddTree from many goroutines
-// contends on one mutex, so for throughput prefer private shards merged
-// afterwards (what MineForestStream does internally).
+// contends on one mutex, so for throughput mine through
+// MineForestStreamShardCtx, whose rounds fan out over one shared symbol
+// table.
 type SupportShard struct {
 	mu    sync.Mutex
 	opts  ForestOptions
@@ -83,53 +84,30 @@ func (sh *SupportShard) AddTree(t *tree.Tree) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.trees++
-	if sh.sup != nil {
-		sh.addTreePacked(t)
+	if sh.sup == nil {
+		for k := range supportItems(t, sh.opts) {
+			sh.gsup[k]++
+		}
 		return
 	}
-	items := Mine(t, sh.opts.Options)
-	if sh.opts.IgnoreDist {
-		items = items.IgnoreDist()
-	}
-	for k := range items {
-		sh.gsup[k]++
-	}
-}
-
-// addTreePacked is the interned hot path: intern t's labels, mine through
-// a pooled miner sharing the shard's table, and fold the per-tree items
-// into sup.
-func (sh *SupportShard) addTreePacked(t *tree.Tree) {
 	sh.syms.InternTree(t)
 	m := getMiner(t, sh.opts.Options, sh.syms)
 	defer m.release()
-	if m.maxJ == 0 {
-		return
-	}
-	m.acc.init(sh.syms.Len(), m.nd)
-	m.accumulate(&m.acc)
-	minOccur := sh.opts.MinOccur
-	sup := sh.sup
-	if sh.opts.IgnoreDist {
-		// Collapse the tree's distances first so each label pair counts
-		// one support regardless of how many distances realize it.
-		m.wild.init(sh.syms.Len(), 1)
-		wild := &m.wild
-		m.acc.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) >= minOccur {
-				wild.add(a, b, 0, 1)
-			}
-		})
-		wild.drain(func(a, b uint32, dc int, n int32) {
-			sup[NewIKey(a, b, DistWild)]++
-		})
-		return
-	}
-	m.acc.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) >= minOccur {
-			sup[NewIKey(a, b, Dist(dc))]++
+	items, minN := mineTreeSupport(m, sh.opts)
+	items.drain(func(a, b uint32, dc int, n int32) {
+		if n >= minN {
+			sh.sup[sh.supportKey(a, b, dc)]++
 		}
 	})
+}
+
+// supportKey packs a support accumulator's (a, b, distance slot) into the
+// shard's key: the slot is the distance, or DistWild under IgnoreDist.
+func (sh *SupportShard) supportKey(a, b uint32, dc int) IKey {
+	if sh.opts.IgnoreDist {
+		return NewIKey(a, b, DistWild)
+	}
+	return NewIKey(a, b, Dist(dc))
 }
 
 // Merge folds other's counts and tree tally into sh. The two shards'

@@ -132,6 +132,7 @@ type genIterator struct {
 	n, i  int
 	size  int
 	alpha int
+	grow  int // when > 0, the alphabet gains one label every grow trees
 }
 
 func newGenIterator(seed int64, n, size, alpha int) *genIterator {
@@ -142,8 +143,12 @@ func (g *genIterator) Next() (*tree.Tree, error) {
 	if g.i >= g.n {
 		return nil, io.EOF
 	}
+	alpha := g.alpha
+	if g.grow > 0 {
+		alpha += g.i / g.grow
+	}
 	g.i++
-	return randAlphaTree(g.rng, g.size, g.alpha), nil
+	return randAlphaTree(g.rng, g.size, alpha), nil
 }
 
 // TestMineForestStreamGenerator checks the streamed miner over a

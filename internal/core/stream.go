@@ -79,12 +79,12 @@ type StreamConfig struct {
 const defaultStreamBatch = 64
 
 // MineForestStream is Multiple_Tree_Mining over a tree stream: trees are
-// consumed from it in bounded batches, mined concurrently by workers
-// holding private SupportShards, and the shards are merged into one
-// result. The output is exactly MineForest's — same pairs, same counts,
-// same order — but peak memory is bounded by workers × batch trees plus
-// the support table, rather than by the corpus, so it scales to forests
-// that never fit in memory. workers ≤ 0 selects GOMAXPROCS.
+// consumed from it in bounded rounds, mined concurrently by workers over
+// one shared symbol table, and folded into one support shard. The output
+// is exactly MineForest's — same pairs, same counts, same order — but
+// peak memory is bounded by workers × batch trees plus the support
+// table, rather than by the corpus, so it scales to forests that never
+// fit in memory. workers ≤ 0 selects GOMAXPROCS.
 func MineForestStream(it TreeIterator, opts ForestOptions, workers int) ([]FrequentPair, error) {
 	return MineForestStreamCtx(context.Background(), it, opts, workers)
 }
@@ -111,12 +111,11 @@ func MineForestStreamShard(it TreeIterator, opts ForestOptions, cfg StreamConfig
 // MineForestStreamShardCtx is MineForestStreamShard under a context.
 // Cancellation is cooperative and round-atomic: the iterator fill loop
 // checks ctx per tree and the mining workers per mined tree, but a
-// cancelled round's partial worker shards are discarded rather than
-// merged — so the returned shard always covers an exact prefix of the
-// stream, its Trees() count names that prefix, and a checkpoint of it
-// resumes (SkipTrees = Trees()) to results identical to an uninterrupted
-// run. The call returns ctx.Err() within one round (≤ workers × batch
-// trees) of cancellation.
+// cancelled round is rolled back rather than folded in — so the returned
+// shard always covers an exact prefix of the stream, its Trees() count
+// names that prefix, and a checkpoint of it resumes (SkipTrees = Trees())
+// to results identical to an uninterrupted run. The call returns
+// ctx.Err() within one round (≤ workers × batch trees) of cancellation.
 //
 // A worker panic is contained at the pool boundary: it surfaces as an
 // error wrapping guard.ErrPanic naming the offending stream tree index,
@@ -184,7 +183,7 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 		}
 
 		if len(buf) > 0 {
-			if err := mineRound(ctx, master, buf, streamed-len(buf), opts, workers); err != nil {
+			if err := master.mineRound(ctx, buf, streamed-len(buf), workers); err != nil {
 				return master, err
 			}
 			sinceCheckpoint += len(buf)
@@ -217,80 +216,120 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 	}
 }
 
-// mineTreeGuarded folds one tree into sh with the panic containment and
-// fault injection every mining pool shares; base+i is the tree's
-// absolute index for the error label.
-func mineTreeGuarded(sh *SupportShard, t *tree.Tree, base, i int) error {
-	err := guard.Run(func() error {
-		if err := faults.Hit(faults.MineWorker); err != nil {
-			return err
-		}
-		sh.AddTree(t)
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("core: stream: mining tree %d: %w", base+i, err)
-	}
-	return nil
-}
-
-// mineRound mines one batch of trees into master: workers fold strided
-// slices into private shards, which merge into master in worker order.
-// Support counts are additive, so the result is independent of worker
-// scheduling — streamed output is deterministic. base is the absolute
-// stream index of buf[0].
+// mineRound mines one round of trees into sh — the one forest-mining pool
+// behind the stream, MineForest, and MineForestParallel. The round's
+// labels are interned into sh's symbol table serially; then at most
+// workers goroutines mine strided slices of buf, each through a pooled
+// miner that reads the shared table lock-free and folds into a
+// worker-private accumulator, and the accumulators drain into sh's counts
+// in worker order. The accumulators live for one round only, so nothing
+// outlives it but sh's counts. Support counts are additive, so the result
+// is independent of worker scheduling — streamed output is deterministic.
+// Past MaxPackedDist workers mine string-keyed item sets instead, folded
+// into sh after the round. base is the absolute stream index of buf[0].
 //
-// On cancellation or a contained worker panic the round's partial
-// private shards are discarded and master is left untouched, preserving
-// the exact-prefix invariant MineForestStreamShardCtx documents. The
-// serial path mines straight into master, which is safe for the same
-// invariant: it folds trees in buf order, so an early return still
-// leaves master covering a prefix.
-func mineRound(ctx context.Context, master *SupportShard, buf []*tree.Tree, base int, opts ForestOptions, workers int) error {
+// A round is atomic: on cancellation or a contained worker panic sh is
+// left exactly as it was — counts, tree tally, and symbol table (rolled
+// back to its length before the round) — preserving the exact-prefix
+// invariant MineForestStreamShardCtx documents.
+func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, workers int) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if workers > len(buf) {
 		workers = len(buf)
 	}
-	if workers <= 1 {
-		for i, t := range buf {
+	opts := sh.opts
+	packed := sh.sup != nil
+	mark := 0
+	var accs []*accum
+	var sets []ItemSet
+	if packed {
+		mark = sh.syms.Len()
+		for _, t := range buf {
+			sh.syms.InternTree(t)
+		}
+		accs = make([]*accum, workers)
+	} else {
+		sets = make([]ItemSet, len(buf))
+	}
+	errs := make([]error, workers)
+	work := func(w int) {
+		var m *miner
+		if packed {
+			accs[w] = new(accum)
+			accs[w].init(sh.syms.Len(), supportSlots(opts))
+			m = minerPool.Get().(*miner)
+		}
+		for i := w; i < len(buf); i += workers {
 			if err := ctx.Err(); err != nil {
-				return err
+				errs[w] = err
+				break
 			}
-			if err := mineTreeGuarded(master, t, base, i); err != nil {
-				return err
+			err := guard.Run(func() error {
+				if err := faults.Hit(faults.MineWorker); err != nil {
+					return err
+				}
+				if !packed {
+					sets[i] = supportItems(buf[i], opts)
+					return nil
+				}
+				m.reset(buf[i], opts.Options, sh.syms)
+				items, minN := mineTreeSupport(m, opts)
+				sup := accs[w]
+				items.drain(func(a, b uint32, dc int, n int32) {
+					if n >= minN {
+						sup.add(a, b, dc, 1)
+					}
+				})
+				return nil
+			})
+			if err != nil {
+				errs[w] = fmt.Errorf("core: mining tree %d: %w", base+i, err)
+				// A panicking miner may hold a half-updated arena; drop
+				// it instead of poisoning the pool.
+				m = nil
+				break
 			}
 		}
-		return nil
+		if m != nil {
+			m.release()
+		}
 	}
-	privates := make([]*SupportShard, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := NewSupportShard(opts)
-			for i := w; i < len(buf); i += workers {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := mineTreeGuarded(sh, buf[i], base, i); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			privates[w] = sh
-		}(w)
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := guard.First(errs); err != nil {
+		if packed {
+			sh.syms.truncate(mark)
+		}
 		return err
 	}
-	for _, sh := range privates {
-		if err := master.Merge(sh); err != nil {
-			return err
+
+	sh.trees += len(buf)
+	for _, items := range sets {
+		for k := range items {
+			sh.gsup[k]++
 		}
+	}
+	if len(accs) > 0 {
+		// Sum the privates densely first, so each distinct item costs
+		// one map insert rather than one per worker holding it.
+		for _, ac := range accs[1:] {
+			ac.drain(accs[0].add)
+		}
+		accs[0].drain(func(a, b uint32, dc int, n int32) {
+			sh.sup[sh.supportKey(a, b, dc)] += int64(n)
+		})
 	}
 	return nil
 }
-

@@ -13,8 +13,8 @@ import (
 // Concurrency: Intern and InternTree mutate the table and must not run
 // concurrently with anything else. Lookup, Label, and Len only read and
 // are safe from any number of goroutines once interning is done — this is
-// what lets MineForestParallel build one table in a read-only pass and
-// share it lock-free across workers.
+// what lets a mining round intern its trees once and share the table
+// lock-free across its workers.
 type Symbols struct {
 	ids    map[string]uint32
 	labels []string
@@ -58,6 +58,15 @@ func (s *Symbols) Label(id uint32) string { return s.labels[id] }
 
 // Len returns the number of interned labels.
 func (s *Symbols) Len() int { return len(s.labels) }
+
+// truncate rolls the table back to its first n labels — how a failed
+// mining round forgets the labels it interned.
+func (s *Symbols) truncate(n int) {
+	for _, l := range s.labels[n:] {
+		delete(s.ids, l)
+	}
+	s.labels = s.labels[:n]
+}
 
 // reset empties the table for reuse, keeping its allocations.
 func (s *Symbols) reset() {
