@@ -104,6 +104,15 @@ func (ac *accum) add(a, b uint32, dc int, n int32) {
 	ac.dense[cell] = old + n
 }
 
+// size bounds the number of items held — exactly, while add is the only
+// writer since the last drain, as in support folding.
+func (ac *accum) size() int {
+	if ac.m != nil {
+		return len(ac.m)
+	}
+	return len(ac.touched)
+}
+
 // bump subtracts (or adds) directly into a dense cell that the current
 // level-pair's totals sweep has already marked. It is the symbol-vector
 // path's same-child correction and MUST run after the sweep: every

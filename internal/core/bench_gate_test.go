@@ -19,9 +19,6 @@ const bench5Path = "../../BENCH_5.json"
 // (see benchutil.SpeedupGate). blocked is the production leg under test.
 func mineCoreGate(t *testing.T, blocked func(m *miner, ac *accum)) []error {
 	t.Helper()
-	if benchutil.RaceEnabled {
-		t.Skip("speedups measured under the race detector are not production speedups")
-	}
 	if _, err := os.Stat(bench5Path); err != nil {
 		t.Skipf("no recorded %s: %v", bench5Path, err)
 	}

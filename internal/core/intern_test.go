@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"treemine/internal/tree"
 )
@@ -172,6 +175,81 @@ func TestMineForestFallbackPastPackedDist(t *testing.T) {
 	}
 	if got := MineForestParallel(forest, opts, 3); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MineForestParallel fallback: %v != %v", got, want)
+	}
+}
+
+// TestMineForestFallbackRoundMemory checks that a round past
+// MaxPackedDist holds O(workers × distinct items) — the workers' private
+// count maps — rather than one item set per tree of the round. It mines
+// one tree repeated n times as a single round (so every tree's item set
+// is the same and the distinct items are one tree's), samples the heap
+// each GC cycle marks live while the round runs, and requires the peak
+// growth to stay far below what retaining an eighth of the per-tree item
+// sets would cost.
+func TestMineForestFallbackRoundMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live-heap sampling skipped in -short mode")
+	}
+	const n, workers = 1500, 2
+	tr := randAlphaTree(rand.New(rand.NewSource(5)), 60, 1000)
+	opts := ForestOptions{
+		Options: Options{MaxDist: MaxPackedDist + 6, MinOccur: 1},
+		MinSup:  2,
+	}
+	forest := make([]*tree.Tree, n)
+	for i := range forest {
+		forest[i] = tr
+	}
+	// live reads the heap marked live by the most recent GC cycle.
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	live := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	runtime.GC()
+	base := live()
+	set := supportItems(tr, opts)
+	runtime.GC()
+	perSet := live() - base
+	runtime.KeepAlive(set)
+	if perSet <= 0 || perSet > 1<<30 {
+		t.Fatalf("could not size one item set (%d bytes)", int64(perSet))
+	}
+
+	runtime.GC()
+	base = live()
+	peak := base
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h := live(); h > peak {
+				peak = h
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	got := MineForestParallel(forest, opts, workers)
+	close(stop)
+	<-sampled
+
+	one := naiveForestOracle([]*tree.Tree{tr}, ForestOptions{Options: opts.Options, MinSup: 1})
+	for i := range one {
+		one[i].Support = n
+	}
+	if !reflect.DeepEqual(got, one) {
+		t.Fatalf("fallback result differs from the oracle: %d vs %d pairs", len(got), len(one))
+	}
+	growth := int64(peak) - int64(base)
+	t.Logf("peak live growth %d bytes; one item set %d bytes", growth, perSet)
+	if limit := int64(perSet) * n / 8; growth > limit {
+		t.Fatalf("round held %d bytes live, over %d (an eighth of the per-tree item sets): "+
+			"a round must not keep one item set per tree", growth, limit)
 	}
 }
 

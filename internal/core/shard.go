@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -246,23 +248,16 @@ func (sh *SupportShard) LocalLabels() []string {
 // streaming pipeline can checkpoint intermediate results and keep
 // mining. minsup ≤ 1 reports every accumulated pair.
 func (sh *SupportShard) Finalize(minsup int) []FrequentPair {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []FrequentPair
-	if sh.sup != nil {
-		for k, n := range sh.sup {
-			if int(n) >= minsup {
-				out = append(out, FrequentPair{Key: k.Key(sh.syms), Support: int(n)})
-			}
-		}
-	} else {
-		for k, n := range sh.gsup {
-			if int(n) >= minsup {
-				out = append(out, FrequentPair{Key: k, Support: int(n)})
-			}
-		}
+	// Snapshot codes labels by lexicographic rank and orders items by
+	// key, so a stable sort by support yields SortFrequentPairs' order
+	// while comparing only integers.
+	_, _, labels, items := sh.Snapshot()
+	items = slices.DeleteFunc(items, func(it ShardItem) bool { return int(it.N) < minsup })
+	slices.SortStableFunc(items, func(x, y ShardItem) int { return cmp.Compare(y.N, x.N) })
+	out := slices.Grow([]FrequentPair(nil), len(items))
+	for _, it := range items {
+		out = append(out, FrequentPair{Key: Key{A: labels[it.A], B: labels[it.B], D: it.D}, Support: int(it.N)})
 	}
-	SortFrequentPairs(out)
 	return out
 }
 
@@ -318,15 +313,14 @@ func canonicalLabels(local []string) (sorted []string, trans []uint32) {
 }
 
 func sortShardItems(items []ShardItem) {
-	sort.Slice(items, func(i, j int) bool {
-		x, y := items[i], items[j]
+	slices.SortFunc(items, func(x, y ShardItem) int {
 		if x.A != y.A {
-			return x.A < y.A
+			return cmp.Compare(x.A, y.A)
 		}
 		if x.B != y.B {
-			return x.B < y.B
+			return cmp.Compare(x.B, y.B)
 		}
-		return x.D < y.D
+		return cmp.Compare(x.D, y.D)
 	})
 }
 

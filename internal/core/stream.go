@@ -225,8 +225,10 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 // in worker order. The accumulators live for one round only, so nothing
 // outlives it but sh's counts. Support counts are additive, so the result
 // is independent of worker scheduling — streamed output is deterministic.
-// Past MaxPackedDist workers mine string-keyed item sets instead, folded
-// into sh after the round. base is the absolute stream index of buf[0].
+// Past MaxPackedDist workers count string-keyed items into private maps
+// instead, added into sh after the round — so either way a round holds
+// O(workers × distinct items), never one item set per tree. base is the
+// absolute stream index of buf[0].
 //
 // A round is atomic: on cancellation or a contained worker panic sh is
 // left exactly as it was — counts, tree tally, and symbol table (rolled
@@ -242,7 +244,7 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 	packed := sh.sup != nil
 	mark := 0
 	var accs []*accum
-	var sets []ItemSet
+	var gens []map[Key]int64
 	if packed {
 		mark = sh.syms.Len()
 		for _, t := range buf {
@@ -250,7 +252,7 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 		}
 		accs = make([]*accum, workers)
 	} else {
-		sets = make([]ItemSet, len(buf))
+		gens = make([]map[Key]int64, workers)
 	}
 	errs := make([]error, workers)
 	work := func(w int) {
@@ -259,6 +261,8 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 			accs[w] = new(accum)
 			accs[w].init(sh.syms.Len(), supportSlots(opts))
 			m = minerPool.Get().(*miner)
+		} else {
+			gens[w] = make(map[Key]int64)
 		}
 		for i := w; i < len(buf); i += workers {
 			if err := ctx.Err(); err != nil {
@@ -270,7 +274,9 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 					return err
 				}
 				if !packed {
-					sets[i] = supportItems(buf[i], opts)
+					for k := range supportItems(buf[i], opts) {
+						gens[w][k]++
+					}
 					return nil
 				}
 				m.reset(buf[i], opts.Options, sh.syms)
@@ -295,19 +301,15 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 			m.release()
 		}
 	}
-	if workers == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				work(w)
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
 	}
+	wg.Wait()
 	if err := guard.First(errs); err != nil {
 		if packed {
 			sh.syms.truncate(mark)
@@ -316,9 +318,9 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 	}
 
 	sh.trees += len(buf)
-	for _, items := range sets {
-		for k := range items {
-			sh.gsup[k]++
+	for _, gen := range gens {
+		for k, n := range gen {
+			sh.gsup[k] += n
 		}
 	}
 	if len(accs) > 0 {
@@ -326,6 +328,11 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 		// one map insert rather than one per worker holding it.
 		for _, ac := range accs[1:] {
 			ac.drain(accs[0].add)
+		}
+		if len(sh.sup) == 0 {
+			// A fresh shard (every MineForest call) takes the round's
+			// items in one allocation instead of growing its map.
+			sh.sup = make(map[IKey]int64, accs[0].size())
 		}
 		accs[0].drain(func(a, b uint32, dc int, n int32) {
 			sh.sup[sh.supportKey(a, b, dc)] += int64(n)

@@ -191,9 +191,6 @@ func mergeGateShapes() []mergeGateShape {
 // under test.
 func mergeGate(t *testing.T, prod func(mergeGateShape) func(n int)) []error {
 	t.Helper()
-	if benchutil.RaceEnabled {
-		t.Skip("speedups measured under the race detector are not production speedups")
-	}
 	if _, err := os.Stat(bench7Path); err != nil {
 		t.Skipf("no recorded %s: %v", bench7Path, err)
 	}
