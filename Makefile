@@ -1,5 +1,5 @@
 # Standard checks for the treemine repo. `make check` is the tier-1
-# gate (vet + build + full tests); `make race` re-runs the concurrent
+# gate (vet + gofmt + build + full tests); `make race` re-runs the concurrent
 # code — the forest-mining round pool, shard merging, the streaming pipeline,
 # the parallel distance-matrix fill, and the parallel parsimony search —
 # under the race detector (the CI gate runs `make check race chaos`);
@@ -45,6 +45,7 @@ check: vet build test
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -206,7 +206,12 @@ func TestMineForestFallbackRoundMemory(t *testing.T) {
 		metrics.Read(sample)
 		return sample[0].Value.Uint64()
 	}
-	runtime.GC()
+	// settle runs two GC cycles: the first only moves sync.Pool contents
+	// (pooled miners left by earlier tests) to the victim cache and the
+	// second frees them, so they cannot die mid-measurement and skew a
+	// baseline.
+	settle := func() { runtime.GC(); runtime.GC() }
+	settle()
 	base := live()
 	set := supportItems(tr, opts)
 	runtime.GC()
@@ -216,7 +221,7 @@ func TestMineForestFallbackRoundMemory(t *testing.T) {
 		t.Fatalf("could not size one item set (%d bytes)", int64(perSet))
 	}
 
-	runtime.GC()
+	settle()
 	base = live()
 	peak := base
 	stop, sampled := make(chan struct{}), make(chan struct{})

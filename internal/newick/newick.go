@@ -10,7 +10,7 @@
 //	label   ::= unquoted | "'" quoted "'"
 //
 // Comments in square brackets and all whitespace between tokens are
-// skipped. Quoted labels may contain any character, with '' standing for
+// skipped. Quoted labels may contain any character, with ” standing for
 // a single quote. Branch lengths are validated as numbers and then
 // discarded: the cousin-pair algorithms of the paper operate on tree
 // topology and labels only.

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -72,44 +71,45 @@ func getSpillRec(buf []byte) core.ShardItem {
 // runWriter writes a count-prefixed record run with a trailing CRC32-C
 // (over everything after the magic): magic, [header], count, records,
 // crc. Push records with write, then finish validates the count and
-// seals the checksum.
+// seals the checksum. Records are encoded into the writer's own buffer
+// and the CRC is folded in place, so write allocates nothing.
 type runWriter struct {
 	bw      *bufio.Writer
-	out     io.Writer
-	crc     hash.Hash32
+	crc     uint32
+	rec     [spillRecBytes]byte
 	expect  uint64
 	written uint64
 }
 
 func newRunWriter(w io.Writer, magic string, header []byte, count uint64) (*runWriter, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	rw := &runWriter{bw: bufio.NewWriter(w), expect: count}
+	if _, err := rw.bw.WriteString(magic); err != nil {
 		return nil, err
 	}
-	crc := crc32.New(spillCRCTable)
-	out := io.MultiWriter(bw, crc)
 	if header != nil {
-		var hlen [4]byte
-		binary.LittleEndian.PutUint32(hlen[:], uint32(len(header)))
-		if _, err := out.Write(hlen[:]); err != nil {
+		if err := rw.put(binary.LittleEndian.AppendUint32(rw.rec[:0], uint32(len(header)))); err != nil {
 			return nil, err
 		}
-		if _, err := out.Write(header); err != nil {
+		if err := rw.put(header); err != nil {
 			return nil, err
 		}
 	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], count)
-	if _, err := out.Write(cnt[:]); err != nil {
+	if err := rw.put(binary.LittleEndian.AppendUint64(rw.rec[:0], count)); err != nil {
 		return nil, err
 	}
-	return &runWriter{bw: bw, out: out, crc: crc, expect: count}, nil
+	return rw, nil
+}
+
+// put writes checksummed bytes.
+func (rw *runWriter) put(p []byte) error {
+	rw.crc = crc32.Update(rw.crc, spillCRCTable, p)
+	_, err := rw.bw.Write(p)
+	return err
 }
 
 func (rw *runWriter) write(it core.ShardItem) error {
-	var rec [spillRecBytes]byte
-	putSpillRec(rec[:], it)
-	if _, err := rw.out.Write(rec[:]); err != nil {
+	putSpillRec(rw.rec[:], it)
+	if err := rw.put(rw.rec[:]); err != nil {
 		return err
 	}
 	rw.written++
@@ -120,56 +120,68 @@ func (rw *runWriter) finish() error {
 	if rw.written != rw.expect {
 		return fmt.Errorf("store: spill: wrote %d records, expected %d", rw.written, rw.expect)
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], rw.crc.Sum32())
-	if _, err := rw.bw.Write(tail[:]); err != nil {
+	if _, err := rw.bw.Write(binary.LittleEndian.AppendUint32(rw.rec[:0], rw.crc)); err != nil {
 		return err
 	}
 	return rw.bw.Flush()
 }
 
 // runReader streams a count-prefixed record run back, validating the
-// trailing CRC when the last record has been consumed.
+// trailing CRC when the last record has been consumed. Like runWriter it
+// decodes from its own buffer and folds the CRC in place, so next
+// allocates nothing.
 type runReader struct {
 	br     *bufio.Reader
-	crc    hash.Hash32
+	crc    uint32
+	rec    [spillRecBytes]byte
 	remain uint64
+}
+
+// read fills p from the run and folds it into the CRC.
+func (rr *runReader) read(p []byte) error {
+	if _, err := io.ReadFull(rr.br, p); err != nil {
+		return err
+	}
+	rr.crc = crc32.Update(rr.crc, spillCRCTable, p)
+	return nil
 }
 
 // newRunReader consumes the magic and (optionally) the length-prefixed
 // header blob, returning the header bytes and a reader positioned at
-// the first record.
+// the first record. The header is read through a limit, so a file
+// claiming a huge header allocates only what it actually holds.
 func newRunReader(r io.Reader, magic string, withHeader bool) (*runReader, []byte, error) {
-	br := bufio.NewReader(r)
+	rr := &runReader{br: bufio.NewReader(r)}
 	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(rr.br, head); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
 	}
 	if string(head) != magic {
 		return nil, nil, ErrBadMagic
 	}
-	crc := crc32.New(spillCRCTable)
-	tr := io.TeeReader(br, crc)
 	var header []byte
 	if withHeader {
-		var hlen [4]byte
-		if _, err := io.ReadFull(tr, hlen[:]); err != nil {
+		if err := rr.read(rr.rec[:4]); err != nil {
 			return nil, nil, fmt.Errorf("%w: header length: %w", ErrCorrupt, err)
 		}
-		n := binary.LittleEndian.Uint32(hlen[:])
+		n := binary.LittleEndian.Uint32(rr.rec[:4])
 		if n > 1<<30 {
 			return nil, nil, fmt.Errorf("%w: implausible header length %d", ErrCorrupt, n)
 		}
-		header = make([]byte, n)
-		if _, err := io.ReadFull(tr, header); err != nil {
+		var err error
+		header, err = io.ReadAll(io.LimitReader(rr.br, int64(n)))
+		if err == nil && len(header) != int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("%w: header: %w", ErrCorrupt, err)
 		}
+		rr.crc = crc32.Update(rr.crc, spillCRCTable, header)
 	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(tr, cnt[:]); err != nil {
+	if err := rr.read(rr.rec[:8]); err != nil {
 		return nil, nil, fmt.Errorf("%w: record count: %w", ErrCorrupt, err)
 	}
-	rr := &runReader{br: br, crc: crc, remain: binary.LittleEndian.Uint64(cnt[:])}
+	rr.remain = binary.LittleEndian.Uint64(rr.rec[:8])
 	return rr, header, nil
 }
 
@@ -177,11 +189,10 @@ func newRunReader(r io.Reader, magic string, withHeader bool) (*runReader, []byt
 // trailing CRC has been read and verified.
 func (rr *runReader) next() (core.ShardItem, error) {
 	if rr.remain == 0 {
-		var tail [4]byte
-		if _, err := io.ReadFull(rr.br, tail[:]); err != nil {
+		if _, err := io.ReadFull(rr.br, rr.rec[:4]); err != nil {
 			return core.ShardItem{}, fmt.Errorf("%w: missing checksum: %w", ErrCorrupt, err)
 		}
-		if got := binary.LittleEndian.Uint32(tail[:]); got != rr.crc.Sum32() {
+		if got := binary.LittleEndian.Uint32(rr.rec[:4]); got != rr.crc {
 			return core.ShardItem{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
 		// Trailing garbage after the checksum means the file is not what
@@ -191,12 +202,11 @@ func (rr *runReader) next() (core.ShardItem, error) {
 		}
 		return core.ShardItem{}, io.EOF
 	}
-	var rec [spillRecBytes]byte
-	if _, err := io.ReadFull(io.TeeReader(rr.br, rr.crc), rec[:]); err != nil {
+	if err := rr.read(rr.rec[:]); err != nil {
 		return core.ShardItem{}, fmt.Errorf("%w: truncated records: %w", ErrCorrupt, err)
 	}
 	rr.remain--
-	return getSpillRec(rec[:]), nil
+	return getSpillRec(rr.rec[:]), nil
 }
 
 // spillHeader is the gob-encoded header of a spilled shard file.

@@ -94,194 +94,90 @@ const (
 var v4CRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // v4image is the in-memory form a source index or shard is normalized
-// into before serialization: flat fixed-width slices (no maps), so the
-// compaction sort runs in memory bounded by the number of distinct
-// support entries plus labels, never by trees × items.
+// into before serialization: a canonical snapshot (no maps), so
+// compaction runs in memory bounded by the number of distinct support
+// entries plus labels, never by trees × items.
 type v4image struct {
 	opts   core.ForestOptions
 	trees  int
-	items  int64       // per-tree item total of the source, 0 for shards
-	labels []string    // sorted ascending, unique; IDs below are ranks
-	post   []v4Posting // packed section (MaxDist ≤ MaxPackedDist)
-	gen    []v4GenRec  // generic section (past MaxPackedDist)
-	perm   []uint32    // support-descending stable order over post or gen
-}
-
-type v4Posting struct {
-	key core.IKey
-	n   int64
-}
-
-type v4GenRec struct {
-	a, b string // canonical: a ≤ b
-	d    core.Dist
-	n    int64
+	items  int64            // per-tree item total of the source, 0 for shards
+	labels []string         // sorted ascending, unique; IDs below are ranks
+	recs   []core.ShardItem // rank-coded, strictly ascending by (A, B, D)
+	perm   []uint32         // support-descending stable order over recs
 }
 
 func (img *v4image) generic() bool {
 	return !img.opts.MaxDist.IsWild() && img.opts.MaxDist > core.MaxPackedDist
 }
 
-func (img *v4image) recCount() int {
-	if img.generic() {
-		return len(img.gen)
-	}
-	return len(img.post)
-}
-
-// sortAndPermute sorts the record section into key order (which, with
-// rank-coded symbols, is exactly core.CompareKeys order), merges any
-// duplicate keys by summing counts, and builds the support-descending
-// stable permutation — the Finalize(1) listing order.
-func (img *v4image) sortAndPermute() {
-	if img.generic() {
-		sort.Slice(img.gen, func(i, j int) bool {
-			return cmpGenRec(&img.gen[i], &img.gen[j]) < 0
-		})
-		out := img.gen[:0]
-		for _, r := range img.gen {
-			if len(out) > 0 {
-				last := &out[len(out)-1]
-				if last.a == r.a && last.b == r.b && last.d == r.d {
-					last.n += r.n
-					continue
-				}
-			}
-			out = append(out, r)
-		}
-		img.gen = out
-	} else {
-		sort.Slice(img.post, func(i, j int) bool { return img.post[i].key < img.post[j].key })
-		out := img.post[:0]
-		for _, p := range img.post {
-			if len(out) > 0 && out[len(out)-1].key == p.key {
-				out[len(out)-1].n += p.n
-				continue
-			}
-			out = append(out, p)
-		}
-		img.post = out
-	}
-	img.perm = make([]uint32, img.recCount())
-	for i := range img.perm {
-		img.perm[i] = uint32(i)
-	}
-	supportAt := func(i uint32) int64 {
-		if img.generic() {
-			return img.gen[i].n
-		}
-		return img.post[i].n
-	}
-	sort.SliceStable(img.perm, func(i, j int) bool {
-		return supportAt(img.perm[i]) > supportAt(img.perm[j])
-	})
-}
-
-func cmpGenRec(x, y *v4GenRec) int {
-	if c := bytes.Compare([]byte(x.a), []byte(y.a)); c != 0 {
-		return c
-	}
-	if c := bytes.Compare([]byte(x.b), []byte(y.b)); c != 0 {
-		return c
-	}
-	switch {
-	case x.d < y.d:
-		return -1
-	case x.d > y.d:
-		return 1
-	}
-	return 0
-}
-
-// rankLabels sorts a unique label set and returns the sorted slice plus
-// the label → rank map used to recode items.
-func rankLabels(labels []string) ([]string, map[string]uint32) {
-	sorted := make([]string, len(labels))
-	copy(sorted, labels)
-	sort.Strings(sorted)
-	rank := make(map[string]uint32, len(sorted))
-	for i, l := range sorted {
-		rank[l] = uint32(i)
-	}
-	return sorted, rank
-}
-
-// imageFromSnapshot normalizes a shard snapshot (the v3 payload shape)
-// into a v4 image.
+// imageFromSnapshot turns a canonical shard snapshot (the v3 payload
+// shape) into a v4 image. A Snapshot's labels ascend strictly and its
+// rank-coded keys ascend strictly, so with symbol IDs as ranks its item
+// order already is the record order — packed-IKey numeric order and
+// core.CompareKeys order alike. Both invariants are checked, not
+// restored; the only sort left is the support-descending permutation.
 func imageFromSnapshot(opts core.ForestOptions, trees int, labels []string, items []core.ShardItem) (*v4image, error) {
 	if len(labels) > core.MaxSymbols {
 		return nil, fmt.Errorf("store: compact: %d labels exceed the symbol space", len(labels))
 	}
-	img := &v4image{opts: opts, trees: trees}
-	sorted, rank := rankLabels(labels)
-	img.labels = sorted
-	if img.generic() {
-		img.gen = make([]v4GenRec, 0, len(items))
-		for _, it := range items {
-			if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
-				return nil, fmt.Errorf("store: compact: symbol id out of range")
-			}
-			k := core.NewKey(labels[it.A], labels[it.B], it.D)
-			img.gen = append(img.gen, v4GenRec{a: k.A, b: k.B, d: k.D, n: it.N})
-		}
-	} else {
-		img.post = make([]v4Posting, 0, len(items))
-		for _, it := range items {
-			if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
-				return nil, fmt.Errorf("store: compact: symbol id out of range")
-			}
-			img.post = append(img.post, v4Posting{
-				key: core.NewIKey(rank[labels[it.A]], rank[labels[it.B]], it.D),
-				n:   it.N,
-			})
+	for i := 1; i < len(labels); i++ {
+		if labels[i-1] >= labels[i] {
+			return nil, fmt.Errorf("%w: compact: labels not strictly ascending at #%d", ErrCorrupt, i)
 		}
 	}
-	img.sortAndPermute()
+	order := make([]core.ShardItem, len(items))
+	for i, it := range items {
+		if int(it.B) >= len(labels) || it.A > it.B {
+			return nil, fmt.Errorf("%w: compact: symbol ids (%d, %d) out of range or not canonical", ErrCorrupt, it.A, it.B)
+		}
+		if i > 0 && !spillItemLess(items[i-1], it) {
+			return nil, fmt.Errorf("%w: compact: keys not strictly ascending at #%d", ErrCorrupt, i)
+		}
+		order[i] = core.ShardItem{A: uint32(i), N: it.N}
+	}
+	core.SortShardItemsBySupport(order)
+	img := &v4image{opts: opts, trees: trees, labels: labels, recs: items, perm: make([]uint32, len(order))}
+	for i, o := range order {
+		img.perm[i] = o.A
+	}
 	return img, nil
 }
 
 // imageFromIndex normalizes a v1/v2 per-tree index into a v4 image: the
-// aggregate support table becomes the record section. The per-tree item
-// sets themselves do not survive compaction — v4 is an aggregate format
-// — so tree-distance queries need the original index.
+// aggregate support table becomes the record section, rank-coded and
+// sorted by the core kernel into snapshot form. The per-tree item sets
+// themselves do not survive compaction — v4 is an aggregate format — so
+// tree-distance queries need the original index.
 func imageFromIndex(ix *Index) (*v4image, error) {
-	img := &v4image{
-		opts:  core.ForestOptions{Options: ix.Options, MinSup: 1},
-		trees: ix.NumTrees(),
+	sup := ix.supportTable()
+	rank := make(map[string]uint32)
+	for k := range sup {
+		rank[k.A], rank[k.B] = 0, 0
+	}
+	labels := make([]string, 0, len(rank))
+	for l := range rank {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for i, l := range labels {
+		rank[l] = uint32(i)
+	}
+	items := make([]core.ShardItem, 0, len(sup))
+	for k, n := range sup {
+		it := core.ShardItem{A: rank[k.A], B: rank[k.B], D: k.D, N: int64(n)}
+		if it.B < it.A {
+			it.A, it.B = it.B, it.A
+		}
+		items = append(items, it)
+	}
+	core.SortShardItems(items)
+	img, err := imageFromSnapshot(core.ForestOptions{Options: ix.Options, MinSup: 1}, ix.NumTrees(), labels, items)
+	if err != nil {
+		return nil, err
 	}
 	for _, e := range ix.Entries {
 		img.items += int64(len(e.Items))
 	}
-	sup := ix.supportTable()
-	labelSet := make(map[string]struct{})
-	for k := range sup {
-		labelSet[k.A] = struct{}{}
-		labelSet[k.B] = struct{}{}
-	}
-	labels := make([]string, 0, len(labelSet))
-	for l := range labelSet {
-		labels = append(labels, l)
-	}
-	sorted, rank := rankLabels(labels)
-	img.labels = sorted
-	if len(sorted) > core.MaxSymbols {
-		return nil, fmt.Errorf("store: compact: %d labels exceed the symbol space", len(sorted))
-	}
-	if img.generic() {
-		img.gen = make([]v4GenRec, 0, len(sup))
-		for k, n := range sup {
-			img.gen = append(img.gen, v4GenRec{a: k.A, b: k.B, d: k.D, n: int64(n)})
-		}
-	} else {
-		img.post = make([]v4Posting, 0, len(sup))
-		for k, n := range sup {
-			img.post = append(img.post, v4Posting{
-				key: core.NewIKey(rank[k.A], rank[k.B], k.D),
-				n:   int64(n),
-			})
-		}
-	}
-	img.sortAndPermute()
 	return img, nil
 }
 
@@ -307,25 +203,29 @@ func (img *v4image) appendV4() []byte {
 	symIdx = binary.LittleEndian.AppendUint64(symIdx, off)
 
 	var post, genIdx, genData []byte
+	var postCount, genCount int
 	if img.generic() {
-		genIdx = make([]byte, 0, 8*(len(img.gen)+1))
+		genCount = len(img.recs)
+		genIdx = make([]byte, 0, 8*(genCount+1))
 		goff := uint64(0)
-		for _, r := range img.gen {
+		for _, r := range img.recs {
+			a, b := img.labels[r.A], img.labels[r.B]
 			genIdx = binary.LittleEndian.AppendUint64(genIdx, goff)
-			genData = binary.LittleEndian.AppendUint32(genData, uint32(len(r.a)))
-			genData = binary.LittleEndian.AppendUint32(genData, uint32(len(r.b)))
-			genData = binary.LittleEndian.AppendUint64(genData, uint64(int64(r.d)))
-			genData = binary.LittleEndian.AppendUint64(genData, uint64(r.n))
-			genData = append(genData, r.a...)
-			genData = append(genData, r.b...)
+			genData = binary.LittleEndian.AppendUint32(genData, uint32(len(a)))
+			genData = binary.LittleEndian.AppendUint32(genData, uint32(len(b)))
+			genData = binary.LittleEndian.AppendUint64(genData, uint64(int64(r.D)))
+			genData = binary.LittleEndian.AppendUint64(genData, uint64(r.N))
+			genData = append(genData, a...)
+			genData = append(genData, b...)
 			goff = uint64(len(genData))
 		}
 		genIdx = binary.LittleEndian.AppendUint64(genIdx, goff)
 	} else {
-		post = make([]byte, 0, v4PostRecLen*len(img.post))
-		for _, p := range img.post {
-			post = binary.LittleEndian.AppendUint64(post, uint64(p.key))
-			post = binary.LittleEndian.AppendUint64(post, uint64(p.n))
+		postCount = len(img.recs)
+		post = make([]byte, 0, v4PostRecLen*postCount)
+		for _, r := range img.recs {
+			post = binary.LittleEndian.AppendUint64(post, uint64(core.NewIKey(r.A, r.B, r.D)))
+			post = binary.LittleEndian.AppendUint64(post, uint64(r.N))
 		}
 	}
 	perm := make([]byte, 0, 4*len(img.perm))
@@ -367,9 +267,9 @@ func (img *v4image) appendV4() []byte {
 	le.PutUint64(buf[v4HdrSymIdxOff:], symIdxOff)
 	le.PutUint64(buf[v4HdrSymDataOff:], symDataOff)
 	le.PutUint64(buf[v4HdrSymDataLen:], uint64(len(symData)))
-	le.PutUint64(buf[v4HdrPostCount:], uint64(len(img.post)))
+	le.PutUint64(buf[v4HdrPostCount:], uint64(postCount))
 	le.PutUint64(buf[v4HdrPostOff:], postOff)
-	le.PutUint64(buf[v4HdrGenCount:], uint64(len(img.gen)))
+	le.PutUint64(buf[v4HdrGenCount:], uint64(genCount))
 	le.PutUint64(buf[v4HdrGenIdxOff:], genIdxOff)
 	le.PutUint64(buf[v4HdrGenDataOff:], genDataOff)
 	le.PutUint64(buf[v4HdrGenDataLen:], uint64(len(genData)))
@@ -415,9 +315,9 @@ func writeV4(dst string, img *v4image) error {
 // checkpoint, or an existing v4 file (validated and copied verbatim) —
 // into a v4 file at dst. The write goes through AtomicWrite, so a crash
 // or torn write at any point leaves dst's previous contents intact and
-// never touches the source. Postings are sorted on flat fixed-width
-// slices, so compaction memory is bounded by the distinct support
-// entries plus the label table, not by the source's tree count.
+// never touches the source. Records live in one flat ShardItem slice,
+// so compaction memory is bounded by the distinct support entries plus
+// the label table, not by the source's tree count.
 func CompactV4(dst string, src io.Reader) error {
 	br := bufio.NewReader(src)
 	head, err := br.Peek(len(magicV4))
