@@ -1,8 +1,9 @@
 # Standard checks for the treemine repo. `make check` is the tier-1
 # gate (vet + gofmt + build + full tests); `make race` re-runs the concurrent
-# code — the forest-mining round pool, shard merging, the streaming pipeline,
-# the parallel distance-matrix fill, and the parallel parsimony search —
-# under the race detector (the CI gate runs `make check race chaos`);
+# code — the forest-mining round pool, shard merging, the streaming pipeline
+# (its reader/miner hand-off ten times over), the parallel distance-matrix
+# fill, and the parallel parsimony search — under the race detector (the
+# CI gate runs `make check race chaos`);
 # `make chaos` runs the fault-injection and cancellation suite (worker
 # panics, torn checkpoint writes, mid-stream iterator failures, signal
 # semantics) under -race — see DESIGN.md §47 for the failpoint
@@ -55,6 +56,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core -run 'Parallel|Forest|Shard|Stream|Differential|LevelVec|MergeAssociation|FoldTranslated|DrainSorted'
+	$(GO) test -race -count=10 -run 'Stream|Cancel|IteratorError' ./internal/core
 	$(GO) test -race ./internal/cluster ./internal/kernel -run 'Differential|Reference|Matches'
 	$(GO) test -race ./internal/parsimony -run 'WorkerCount|TiedSet|Search|Incremental'
 	$(GO) test -race ./internal/serve -run 'Differential|Race|Cache|Drain|Hammer'

@@ -17,7 +17,8 @@ import "math/bits"
 // Dense cells are tracked for O(distinct) drain by two mechanisms that
 // coexist in one pass:
 //
-//   - add (the pair-enumeration and merge path) appends each cell to a
+//   - add (the pair-enumeration path) and fold (the support path, cell
+//     to cell between accumulators of one layout) append each cell to a
 //     touched list, decoded at drain time with precomputed magic
 //     dividers (Granlund–Montgomery) instead of hardware divisions;
 //   - the blocked sweeps mark whole rows at once by OR-ing their masked
@@ -25,8 +26,9 @@ import "math/bits"
 //     row), with a dirty-row list for the drain scan. Row and bit
 //     position recover (dist, a, b) with shifts only — no division.
 //
-// Drain consumes every cell it reads, so a cell visited by both
-// mechanisms is reported once and zero cells are skipped either way.
+// Drain and fold consume every cell they read, so a cell visited by
+// both mechanisms is reported once and zero cells are skipped either
+// way.
 type accum struct {
 	l, nd   int     // symbol count and distance-slot count of the dense table
 	nw      int     // bitmap words per row: ceil(l/64)
@@ -96,10 +98,15 @@ func (ac *accum) add(a, b uint32, dc int, n int32) {
 	if b < a {
 		a, b = b, a
 	}
-	cell := (dc*ac.l+int(a))*ac.rowLen + int(b)
+	ac.addCell(int32((dc*ac.l+int(a))*ac.rowLen+int(b)), n)
+}
+
+// addCell accumulates n into a dense cell, recording it as touched when
+// it was zero.
+func (ac *accum) addCell(cell, n int32) {
 	old := ac.dense[cell]
 	if old == 0 {
-		ac.touched = append(ac.touched, int32(cell))
+		ac.touched = append(ac.touched, cell)
 	}
 	ac.dense[cell] = old + n
 }
@@ -185,6 +192,68 @@ func (ac *accum) drain(f func(a, b uint32, dc int, n int32)) {
 		}
 	}
 	ac.dirty = ac.dirty[:0]
+}
+
+// fold adds every item of src with a count of at least minN (and at
+// least 1) into ac — one per item when unit is set, as when a tree's
+// items become support, else the item's count — and resets src as
+// drain would. src must have ac's layout (the same symbol and
+// distance-slot counts) unless it is empty, so a cell index, or a map
+// key, names the same item in both and no item is ever decoded. It
+// walks the touched list and the dirty bitmap rows exactly as drain
+// does, in its own copy of that loop: one walk shared with drain
+// through a per-cell callback made mining plus fold about a third
+// slower per tree.
+func (ac *accum) fold(src *accum, minN int32, unit bool) {
+	minN = max(minN, 1)
+	if src.m != nil {
+		for k, n := range src.m {
+			if n >= minN {
+				if unit {
+					n = 1
+				}
+				ac.m[k] += n
+			}
+		}
+		clear(src.m)
+		return
+	}
+	for _, cell := range src.touched {
+		n := src.dense[cell]
+		src.dense[cell] = 0
+		if n >= minN {
+			if unit {
+				n = 1
+			}
+			ac.addCell(cell, n)
+		}
+	}
+	src.touched = src.touched[:0]
+	for _, e := range src.dirty {
+		row := int(e>>16)*src.l + int(e&0xffff)
+		src.rowBits[row>>6] &^= 1 << (row & 63)
+		base, start := row*src.nw, row*src.rowLen
+		for w := 0; w < src.nw; w++ {
+			bw := src.rows[base+w]
+			if bw == 0 {
+				continue
+			}
+			src.rows[base+w] = 0
+			for bw != 0 {
+				cell := int32(start + w<<6 + bits.TrailingZeros64(bw))
+				bw &= bw - 1
+				n := src.dense[cell]
+				src.dense[cell] = 0
+				if n >= minN {
+					if unit {
+						n = 1
+					}
+					ac.addCell(cell, n)
+				}
+			}
+		}
+	}
+	src.dirty = src.dirty[:0]
 }
 
 // discard resets the accumulator without reporting its contents. Unlike

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,12 +231,15 @@ func TestLevelVecCancelledStreamPrefixDifferential(t *testing.T) {
 }
 
 // TestStreamIteratorErrorNamesTreeAndResumes injects an iterator
-// failure at tree k: the error must name k, the last checkpoint must
-// still load, and resuming from it must finish to the uninterrupted
-// result.
+// failure at tree k: the error must name k, the returned shard must
+// cover exactly the rounds before the failing one (the reader meets the
+// failure while reading ahead, yet every earlier round is still mined
+// and handed to AfterRound), the last checkpoint must still load, and
+// resuming from it must finish to the uninterrupted result.
 func TestStreamIteratorErrorNamesTreeAndResumes(t *testing.T) {
 	const n, seed, size, alpha = 300, 23, 30, 8
 	const failAt = 137
+	const round = 2 * 16 // Workers × BatchSize
 	opts := DefaultForestOptions()
 	want, err := MineForestStream(newGenIterator(seed, n, size, alpha), opts, 2)
 	if err != nil {
@@ -242,12 +247,17 @@ func TestStreamIteratorErrorNamesTreeAndResumes(t *testing.T) {
 	}
 
 	var lastCkpt *SupportShard
+	rounds := 0
 	boom := errors.New("disk detached")
 	it := &errAtIterator{inner: newGenIterator(seed, n, size, alpha), k: failAt, err: boom}
-	_, err = MineForestStreamShardCtx(context.Background(), it, opts, StreamConfig{
+	partial, err := MineForestStreamShardCtx(context.Background(), it, opts, StreamConfig{
 		Workers:         2,
 		BatchSize:       16,
 		CheckpointEvery: 50,
+		AfterRound: func(*SupportShard) error {
+			rounds++
+			return nil
+		},
 		Checkpoint: func(sh *SupportShard) error {
 			o, trees, labels, items := sh.Snapshot()
 			restored, rerr := RestoreShard(o, trees, labels, items)
@@ -264,6 +274,12 @@ func TestStreamIteratorErrorNamesTreeAndResumes(t *testing.T) {
 	if !strings.Contains(err.Error(), fmt.Sprintf("tree %d", failAt)) {
 		t.Fatalf("error %q does not name the failing tree %d", err, failAt)
 	}
+	if got, wantTrees := partial.Trees(), failAt/round*round; got != wantTrees {
+		t.Fatalf("failed stream's shard covers %d trees, want the %d of the rounds before tree %d", got, wantTrees, failAt)
+	}
+	if rounds != failAt/round {
+		t.Fatalf("AfterRound ran %d times, want once per mined round (%d)", rounds, failAt/round)
+	}
 	if lastCkpt == nil {
 		t.Fatal("no checkpoint was taken before the failure")
 	}
@@ -279,6 +295,199 @@ func TestStreamIteratorErrorNamesTreeAndResumes(t *testing.T) {
 	}
 	if got := sh.Finalize(opts.MinSup); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resume after iterator failure diverged: %d vs %d pairs", len(got), len(want))
+	}
+}
+
+// watchedIterator wraps a stream source the way its owner sees it: a
+// Next that overlaps another one, or that comes after close (called as
+// soon as the stream returns), is a test error. When reached is set it
+// is closed once the first at trees have been served.
+type watchedIterator struct {
+	t       *testing.T
+	inner   TreeIterator
+	at      int
+	reached chan struct{}
+
+	mu           sync.Mutex
+	busy, closed bool
+	served       int
+}
+
+func (w *watchedIterator) Next() (*tree.Tree, error) {
+	w.mu.Lock()
+	if w.closed {
+		w.t.Error("iterator Next called after the stream returned")
+	}
+	if w.busy {
+		w.t.Error("iterator Next called from two goroutines at once")
+	}
+	w.busy = true
+	w.mu.Unlock()
+	tr, err := w.inner.Next()
+	w.mu.Lock()
+	w.busy = false
+	if err == nil {
+		w.served++
+		if w.served == w.at && w.reached != nil {
+			close(w.reached)
+		}
+	}
+	w.mu.Unlock()
+	return tr, err
+}
+
+func (w *watchedIterator) close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.busy {
+		w.t.Error("iterator Next still in flight when the stream returned")
+	}
+	w.closed = true
+}
+
+// waitReaderGone waits until no goroutine is running the stream's
+// reader. The reader closes its channel as its last act and the stream
+// waits for that before returning, so the goroutine can at most be
+// unwinding: the wait yields rather than sleeps and fails past a
+// deadline.
+func waitReaderGone(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(stacks, []byte("core.readRounds(")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream reader outlived the call:\n%s", stacks)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestStreamIteratorNeverUsedAfterReturn pins the iterator contract of
+// the read-ahead stream on every exit: the iterator is called from one
+// goroutine at a time, never after MineForestStreamShardCtx returns, and
+// no reader goroutine outlives the call — so a caller may close its
+// source as soon as the call returns.
+func TestStreamIteratorNeverUsedAfterReturn(t *testing.T) {
+	const n, seed, size, alpha = 200, 61, 25, 8
+	const workers, batch = 2, 16 // rounds of 32 trees
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name    string
+		arm     func(cancel context.CancelFunc, it TreeIterator, cfg *StreamConfig) TreeIterator
+		wantErr error
+	}{
+		{"success", nil, nil},
+		{"iterator-error", func(_ context.CancelFunc, it TreeIterator, _ *StreamConfig) TreeIterator {
+			return &errAtIterator{inner: it, k: 70, err: boom}
+		}, boom},
+		{"cancel-mid-round", func(cancel context.CancelFunc, it TreeIterator, _ *StreamConfig) TreeIterator {
+			// Tree 40 is read while the first round mines.
+			return &cancelAfterIterator{inner: it, cancel: cancel, k: 40}
+		}, context.Canceled},
+		{"core-mine-worker=panic", func(_ context.CancelFunc, it TreeIterator, _ *StreamConfig) TreeIterator {
+			faults.Enable(faults.MineWorker, faults.Spec{Mode: faults.ModePanic, After: 40, Count: 1})
+			return it
+		}, guard.ErrPanic},
+		{"after-round-error", func(_ context.CancelFunc, it TreeIterator, cfg *StreamConfig) TreeIterator {
+			cfg.AfterRound = func(*SupportShard) error { return boom }
+			return it
+		}, boom},
+		{"checkpoint-error", func(_ context.CancelFunc, it TreeIterator, cfg *StreamConfig) TreeIterator {
+			cfg.CheckpointEvery = 1
+			cfg.Checkpoint = func(*SupportShard) error { return boom }
+			return it
+		}, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults.Reset()
+			t.Cleanup(faults.Reset)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := StreamConfig{Workers: workers, BatchSize: batch}
+			var it TreeIterator = newGenIterator(seed, n, size, alpha)
+			if tc.arm != nil {
+				it = tc.arm(cancel, it, &cfg)
+			}
+			w := &watchedIterator{t: t, inner: it}
+			sh, err := MineForestStreamShardCtx(ctx, w, DefaultForestOptions(), cfg)
+			w.close()
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("stream error = %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantErr == nil && sh.Trees() != n {
+				t.Fatalf("stream mined %d trees, want %d", sh.Trees(), n)
+			}
+			waitReaderGone(t)
+		})
+	}
+}
+
+// panicAtIterator panics at tree index k (0-based).
+type panicAtIterator struct {
+	inner TreeIterator
+	k, i  int
+}
+
+func (p *panicAtIterator) Next() (*tree.Tree, error) {
+	if p.i == p.k {
+		panic("source exploded")
+	}
+	p.i++
+	return p.inner.Next()
+}
+
+// TestStreamIteratorPanicReachesCaller: a panic inside the iterator,
+// raised on the reader goroutine, is re-raised on the caller's
+// goroutine with its value, after the reader has stopped.
+func TestStreamIteratorPanicReachesCaller(t *testing.T) {
+	w := &watchedIterator{t: t, inner: newGenIterator(71, 100, 20, 6)}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		MineForestStreamShardCtx(context.Background(), &panicAtIterator{inner: w, k: 40}, DefaultForestOptions(), StreamConfig{Workers: 2, BatchSize: 8})
+		return nil
+	}()
+	w.close()
+	if got != "source exploded" {
+		t.Fatalf("recovered %v, want the iterator's panic", got)
+	}
+	waitReaderGone(t)
+}
+
+// TestStreamReadAheadOverlapsRound: the reader fills the next round
+// while the current one is still being handled. The first AfterRound
+// waits, with a bound, until the iterator has served the second round's
+// last tree — which a stream that reads only between rounds never does.
+func TestStreamReadAheadOverlapsRound(t *testing.T) {
+	const workers, batch = 2, 8
+	const round = workers * batch
+	w := &watchedIterator{t: t, inner: newGenIterator(67, 3*round, 20, 6), at: 2 * round, reached: make(chan struct{})}
+	calls := 0
+	sh, err := MineForestStreamShardCtx(context.Background(), w, DefaultForestOptions(), StreamConfig{
+		Workers:   workers,
+		BatchSize: batch,
+		AfterRound: func(*SupportShard) error {
+			calls++
+			if calls > 1 {
+				return nil
+			}
+			select {
+			case <-w.reached:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("the second round was not read while the first was handled")
+			}
+		},
+	})
+	w.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Trees() != 3*round || calls != 3 {
+		t.Fatalf("stream mined %d trees in %d rounds, want %d in 3", sh.Trees(), calls, 3*round)
 	}
 }
 

@@ -103,11 +103,13 @@ func supportSlots(opts ForestOptions) int {
 
 // mineTreeSupport mines the tree the miner is pointed at and returns the
 // accumulator holding its items with the count an item needs to support
-// the tree: folding the tree in is draining items and adding one support
-// per item of count ≥ minN. That is one per item the tree contains with
-// occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist
-// (where dc is always 0, the single wildcard slot). items is the miner's
-// own buffer: drain it before the miner mines again.
+// the tree: folding the tree in adds one support per item of count ≥
+// minN (accum.fold with unit set). That is one per item the tree
+// contains with occurrence ≥ MinOccur, de-duplicated per label pair
+// under IgnoreDist (where dc is always 0, the single wildcard slot).
+// items is the miner's own buffer, laid out like an accumulator of the
+// miner's symbol table and supportSlots(opts): fold or drain it before
+// the miner mines again.
 func mineTreeSupport(m *miner, opts ForestOptions) (items *accum, minN int32) {
 	if m.maxJ == 0 {
 		return &m.acc, 1 // drained after its last use, so empty

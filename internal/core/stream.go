@@ -47,8 +47,9 @@ type StreamConfig struct {
 	// Workers is the number of concurrent mining goroutines; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// BatchSize is the number of trees each worker receives per round;
-	// Workers × BatchSize trees are resident at a time, which (plus the
+	// BatchSize is the number of trees each worker receives per round.
+	// At most two rounds of Workers × BatchSize trees are resident at a
+	// time — the one mining and the one read ahead — which (plus the
 	// support shard itself) is the pipeline's whole memory footprint.
 	// ≤ 0 selects the default of 64.
 	BatchSize int
@@ -82,9 +83,9 @@ const defaultStreamBatch = 64
 // consumed from it in bounded rounds, mined concurrently by workers over
 // one shared symbol table, and folded into one support shard. The output
 // is exactly MineForest's — same pairs, same counts, same order — but
-// peak memory is bounded by workers × batch trees plus the support
-// table, rather than by the corpus, so it scales to forests that never
-// fit in memory. workers ≤ 0 selects GOMAXPROCS.
+// peak memory is bounded by two rounds of workers × batch trees plus
+// the support table, rather than by the corpus, so it scales to forests
+// that never fit in memory. workers ≤ 0 selects GOMAXPROCS.
 func MineForestStream(it TreeIterator, opts ForestOptions, workers int) ([]FrequentPair, error) {
 	return MineForestStreamCtx(context.Background(), it, opts, workers)
 }
@@ -109,13 +110,24 @@ func MineForestStreamShard(it TreeIterator, opts ForestOptions, cfg StreamConfig
 }
 
 // MineForestStreamShardCtx is MineForestStreamShard under a context.
-// Cancellation is cooperative and round-atomic: the iterator fill loop
-// checks ctx per tree and the mining workers per mined tree, but a
-// cancelled round is rolled back rather than folded in — so the returned
-// shard always covers an exact prefix of the stream, its Trees() count
-// names that prefix, and a checkpoint of it resumes (SkipTrees = Trees())
-// to results identical to an uninterrupted run. The call returns
-// ctx.Err() within one round (≤ workers × batch trees) of cancellation.
+// Cancellation is cooperative and round-atomic: the reader checks ctx
+// per tree and the mining workers per mined tree, but a cancelled round
+// is rolled back rather than folded in — so the returned shard always
+// covers an exact prefix of the stream, its Trees() count names that
+// prefix, and a checkpoint of it resumes (SkipTrees = Trees()) to
+// results identical to an uninterrupted run. The call returns ctx.Err()
+// within one round (≤ workers × batch trees) of cancellation.
+//
+// Reading overlaps mining: one reader goroutine fills the next round
+// from it while the current round mines, so at most two rounds are
+// resident. The iterator is called from one goroutine at a time and
+// never after the call returns — every return first stops the reader
+// and waits for it, including for a Next already in flight, so a source
+// blocked on its next tree (a stdin pipe) delays an error return until
+// that tree or EOF arrives. An iterator error or cancellation met while
+// reading ahead surfaces only after the round before it has been folded
+// and its AfterRound and Checkpoint have run; the partial round is
+// discarded.
 //
 // A worker panic is contained at the pool boundary: it surfaces as an
 // error wrapping guard.ErrPanic naming the offending stream tree index,
@@ -139,60 +151,40 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 			master.Options(), opts)
 	}
 
-	// streamed is the absolute index (within the whole stream) of the
-	// next tree the iterator will yield — used to name the offending
-	// tree in iterator and worker errors.
-	streamed := 0
-	for ; streamed < cfg.SkipTrees; streamed++ {
-		if err := ctx.Err(); err != nil {
-			return master, err
+	rctx, stop := context.WithCancel(ctx)
+	rounds := make(chan streamRound)
+	go readRounds(rctx, it, cfg.SkipTrees, workers*batch, rounds)
+	defer func() {
+		// Stop the reader and wait until it has closed rounds, so it
+		// never touches the iterator after this call returns.
+		stop()
+		for range rounds {
 		}
-		if _, err := it.Next(); err != nil {
-			if err == io.EOF {
-				return master, nil
-			}
-			return master, fmt.Errorf("core: stream: skipping tree %d: %w", streamed, err)
-		}
-	}
+	}()
 
-	buf := make([]*tree.Tree, 0, workers*batch)
 	sinceCheckpoint := 0
 	for {
-		buf = buf[:0]
-		done := false
-		for len(buf) < cap(buf) {
-			if err := ctx.Err(); err != nil {
-				return master, err
-			}
-			if err := faults.Hit(faults.StreamNext); err != nil {
-				return master, fmt.Errorf("core: stream: tree %d: %w", streamed, err)
-			}
-			t, err := it.Next()
-			if err == io.EOF {
-				done = true
-				break
-			}
-			if err != nil {
-				return master, fmt.Errorf("core: stream: tree %d: %w", streamed, err)
-			}
-			streamed++
-			if t == nil {
-				continue
-			}
-			buf = append(buf, t)
+		r, ok := <-rounds
+		if !ok {
+			// The reader only gives up without a final round when it
+			// saw ctx cancelled.
+			return master, ctx.Err()
 		}
-
-		if len(buf) > 0 {
-			if err := master.mineRound(ctx, buf, streamed-len(buf), workers); err != nil {
+		if r.panicked != nil {
+			panic(r.panicked)
+		}
+		if r.err != nil {
+			return master, r.err
+		}
+		if len(r.trees) > 0 {
+			if err := master.mineRound(ctx, r.trees, r.base, workers); err != nil {
 				return master, err
 			}
-			sinceCheckpoint += len(buf)
+			sinceCheckpoint += len(r.trees)
 			// Drop the tree references before any checkpoint GC so the
 			// round's trees are collectible — this is what keeps the live
-			// heap bounded by one round.
-			for i := range buf {
-				buf[i] = nil
-			}
+			// heap at a checkpoint down to the round being read ahead.
+			r.trees = nil
 			if cfg.AfterRound != nil {
 				if err := cfg.AfterRound(master); err != nil {
 					return master, fmt.Errorf("core: stream: after round at %d trees: %w", master.Trees(), err)
@@ -201,7 +193,7 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 		}
 
 		if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil && sinceCheckpoint > 0 &&
-			(sinceCheckpoint >= cfg.CheckpointEvery || done) {
+			(sinceCheckpoint >= cfg.CheckpointEvery || r.done) {
 			if err := faults.Hit(faults.StreamCheckpoint); err != nil {
 				return master, fmt.Errorf("core: stream: checkpoint after %d trees: %w", master.Trees(), err)
 			}
@@ -210,8 +202,96 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 			}
 			sinceCheckpoint = 0
 		}
-		if done {
+		if r.done {
 			return master, nil
+		}
+	}
+}
+
+// streamRound is what the reader hands the miner: up to one round of
+// trees in stream order, base the stream index it names trees[0] by,
+// and how the stream ended after them, if it did — done at EOF, err on
+// an iterator failure or cancellation (whose partial round is dropped),
+// panicked with the value of a panic raised by the iterator.
+type streamRound struct {
+	trees    []*tree.Tree
+	base     int
+	done     bool
+	err      error
+	panicked any
+}
+
+// readRounds is the stream's reader goroutine: it discards the first
+// skip trees of the iterator, then sends rounds of up to size trees on
+// out until a round ends the stream or ctx is cancelled, and closes out
+// on return.
+// Sends block until the miner takes the round, so the reader runs at
+// most one round ahead. Only this goroutine calls the iterator or
+// tracks the stream index. An iterator panic is handed over too and
+// re-raised on the caller's goroutine, where the caller can recover it.
+func readRounds(ctx context.Context, it TreeIterator, skip, size int, out chan<- streamRound) {
+	defer close(out)
+	send := func(r streamRound) bool {
+		select {
+		case out <- r:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			send(streamRound{panicked: p})
+		}
+	}()
+
+	// streamed is the absolute index (within the whole stream) of the
+	// next tree the iterator will yield — used to name the offending
+	// tree in iterator and worker errors.
+	streamed := 0
+	for ; streamed < skip; streamed++ {
+		if err := ctx.Err(); err != nil {
+			send(streamRound{err: err})
+			return
+		}
+		if _, err := it.Next(); err != nil {
+			if err == io.EOF {
+				send(streamRound{done: true})
+			} else {
+				send(streamRound{err: fmt.Errorf("core: stream: skipping tree %d: %w", streamed, err)})
+			}
+			return
+		}
+	}
+
+	for {
+		r := streamRound{trees: make([]*tree.Tree, 0, size)}
+		for len(r.trees) < size {
+			if err := ctx.Err(); err != nil {
+				r = streamRound{err: err}
+				break
+			}
+			if err := faults.Hit(faults.StreamNext); err != nil {
+				r = streamRound{err: fmt.Errorf("core: stream: tree %d: %w", streamed, err)}
+				break
+			}
+			t, err := it.Next()
+			if err == io.EOF {
+				r.done = true
+				break
+			}
+			if err != nil {
+				r = streamRound{err: fmt.Errorf("core: stream: tree %d: %w", streamed, err)}
+				break
+			}
+			streamed++
+			if t != nil {
+				r.trees = append(r.trees, t)
+			}
+		}
+		r.base = streamed - len(r.trees)
+		if !send(r) || r.done || r.err != nil {
+			return
 		}
 	}
 }
@@ -220,9 +300,10 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 // behind the stream, MineForest, and MineForestParallel. The round's
 // labels are interned into sh's symbol table serially; then at most
 // workers goroutines mine strided slices of buf, each through a pooled
-// miner that reads the shared table lock-free and folds into a
-// worker-private accumulator, and the accumulators drain into sh's counts
-// in worker order. The accumulators live for one round only, so nothing
+// miner that reads the shared table lock-free and folds each tree's
+// items cell to cell into a worker-private accumulator of the same
+// layout; the accumulators then fold into the first, which drains into
+// sh's counts. The accumulators live for one round only, so nothing
 // outlives it but sh's counts. Support counts are additive, so the result
 // is independent of worker scheduling — streamed output is deterministic.
 // Past MaxPackedDist workers count string-keyed items into private maps
@@ -281,12 +362,7 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 				}
 				m.reset(buf[i], opts.Options, sh.syms)
 				items, minN := mineTreeSupport(m, opts)
-				sup := accs[w]
-				items.drain(func(a, b uint32, dc int, n int32) {
-					if n >= minN {
-						sup.add(a, b, dc, 1)
-					}
-				})
+				accs[w].fold(items, minN, true)
 				return nil
 			})
 			if err != nil {
@@ -324,10 +400,10 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 		}
 	}
 	if len(accs) > 0 {
-		// Sum the privates densely first, so each distinct item costs
-		// one map insert rather than one per worker holding it.
+		// Sum the privates cell to cell first, so each distinct item
+		// costs one map insert rather than one per worker holding it.
 		for _, ac := range accs[1:] {
-			ac.drain(accs[0].add)
+			accs[0].fold(ac, 1, false)
 		}
 		if len(sh.sup) == 0 {
 			// A fresh shard (every MineForest call) takes the round's

@@ -47,8 +47,9 @@ import (
 // see DESIGN.md §47 for the catalogue with the behavior each one
 // simulates.
 const (
-	// StreamNext fires in MineForestStreamShardCtx just before a tree is
-	// pulled from the iterator — a mid-stream source failure.
+	// StreamNext fires on MineForestStreamShardCtx's reader goroutine
+	// just before a tree is pulled from the iterator, so its hits count
+	// trees in stream order — a mid-stream source failure.
 	StreamNext = "core/stream/next"
 	// StreamCheckpoint fires just before the stream's checkpoint
 	// callback runs — a checkpoint-write failure.

@@ -50,7 +50,8 @@ func NewSliceIterator(trees []*Tree) TreeIterator { return core.NewSliceIterator
 func NewNewickScanner(r io.Reader) TreeIterator { return newick.NewScanner(r) }
 
 // MineForestStream is MineForest over a tree stream: identical output,
-// memory bounded by workers × batch trees plus the support table.
+// memory bounded by two rounds of workers × batch trees (the round
+// mining and the one read ahead) plus the support table.
 // workers ≤ 0 selects GOMAXPROCS.
 func MineForestStream(it TreeIterator, opts ForestOptions, workers int) ([]FrequentPair, error) {
 	return core.MineForestStream(it, opts, workers)
