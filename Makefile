@@ -35,12 +35,14 @@
 # fault-tolerance drills under -race (supervised retries, worker
 # SIGKILLs, stall timeouts, straggler speculation, -allow-partial
 # degradation, coordinator kill-and-resume — every drill must converge
-# byte-identically; see DESIGN.md §52).
+# byte-identically; see DESIGN.md §52); `make loc` prints the non-test
+# Go line counts of internal/core, internal/store, internal/serve and
+# their total.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-serve bench-merge bench-distmine
+.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-serve bench-merge bench-distmine loc
 
 check: vet build test
 
@@ -112,3 +114,11 @@ bench-merge:
 
 bench-distmine:
 	$(GO) run ./cmd/benchpaper -exp distmine -maxtrees 100000
+
+LOC_DIRS = internal/core internal/store internal/serve
+
+loc:
+	@total=0; for d in $(LOC_DIRS); do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-16s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-16s %6d\n' total $$total

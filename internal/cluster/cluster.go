@@ -62,9 +62,8 @@ func (m *Matrix) At(i, j int) float64 {
 // TDistMatrix mines every tree once and fills the pairwise cousin-based
 // distance matrix under the given variant. It delegates to the profile
 // engine in internal/core: one shared symbol table, frozen posting-list
-// profiles, and a parallel merge-join fill — so packable options (the
-// defaults) never pay the string-keyed path, and large collections use
-// every core. The values are identical to mining each pair directly.
+// profiles, and a parallel merge-join fill — so no pair pays the
+// string-keyed path, and large collections use every core. The values are identical to mining each pair directly.
 func TDistMatrix(trees []*tree.Tree, v core.Variant, opts core.Options) *Matrix {
 	dm := core.TDistMatrixParallel(trees, v, opts, 0)
 	// core.DistMatrix shares this package's condensed upper-triangle

@@ -292,7 +292,7 @@ func TestKMedoidsIncrementalDifferential(t *testing.T) {
 
 // TestTDistMatrixMatchesPairwiseMining pins the profile-engine delegate
 // against the pre-engine fill (string-keyed Mine + per-pair TDistItems),
-// across the packable boundary and all variants — the regression gate on
+// across maxdist on both sides of D(14) and all variants — the regression gate on
 // the "TDistMatrix pays the string penalty even for packable options"
 // bug this matrix used to have.
 func TestTDistMatrixMatchesPairwiseMining(t *testing.T) {
@@ -303,7 +303,7 @@ func TestTDistMatrixMatchesPairwiseMining(t *testing.T) {
 		trees[i] = treegen.Yule(rng, taxa[:rng.Intn(6)+4])
 	}
 	variants := []core.Variant{core.VariantLabel, core.VariantDist, core.VariantOccur, core.VariantDistOccur}
-	for _, maxD := range []core.Dist{core.D(3), core.MaxPackedDist + 4} {
+	for _, maxD := range []core.Dist{core.D(3), core.D(18)} {
 		opts := core.Options{MaxDist: maxD, MinOccur: 1}
 		items := make([]core.ItemSet, len(trees))
 		for i, tr := range trees {

@@ -87,8 +87,8 @@ func streamVariants(t *testing.T, forest []*tree.Tree, opts ForestOptions, want 
 // TestForestMinersDifferential is the harness pinning every forest miner
 // to the naive oracle: MineForestStream ≡ MineForestParallel ≡
 // MineForest ≡ per-tree NaiveMine support counting, across random
-// forests whose MaxDist sweeps the packable boundary (MaxPackedDist =
-// 14 halves; ~a quarter of the runs take the string-keyed fallback),
+// forests whose MaxDist sweeps D(14), the old 4-bit IKey distance
+// field's bound (~a quarter of the runs mine past it),
 // with varying MinSup, MinOccur, IgnoreDist, duplicate labels,
 // single-node trees, and empty forests.
 func TestForestMinersDifferential(t *testing.T) {
@@ -203,10 +203,10 @@ func TestShardMergeCommutesAndAssociates(t *testing.T) {
 
 // TestShardSnapshotRestoreRoundTrip pins the serialization contract the
 // store's v3 format builds on: Restore(Snapshot(sh)) finalizes
-// identically, for both the packed and the string-keyed shard modes.
+// identically, at the default maxdist and past D(14).
 func TestShardSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, maxD := range []Dist{D(3), MaxPackedDist + 4} {
+	for _, maxD := range []Dist{D(3), D(18)} {
 		for _, ignore := range []bool{false, true} {
 			opts := ForestOptions{
 				Options:    Options{MaxDist: maxD, MinOccur: 1},
@@ -247,6 +247,11 @@ func TestRestoreShardRejectsCorruptInput(t *testing.T) {
 		{"zero count", opts, 1, labels, []ShardItem{{A: 0, B: 1, D: 0, N: 0}}},
 		{"negative count", opts, 1, labels, []ShardItem{{A: 0, B: 1, D: 0, N: -4}}},
 		{"distance beyond maxdist", opts, 1, labels, []ShardItem{{A: 0, B: 1, D: 9, N: 1}}},
+		{
+			"distance beyond MaxPackedDist",
+			ForestOptions{Options: Options{MaxDist: D(5000), MinOccur: 1}, MinSup: 2},
+			1, labels, []ShardItem{{A: 0, B: 1, D: MaxPackedDist + 1, N: 1}},
+		},
 		{"negative distance", opts, 1, labels, []ShardItem{{A: 0, B: 1, D: -3, N: 1}}},
 		{"wild distance without ignoredist", opts, 1, labels, []ShardItem{{A: 0, B: 1, D: DistWild, N: 1}}},
 		{"duplicate label", opts, 1, []string{"a", "a"}, nil},

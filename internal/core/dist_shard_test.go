@@ -28,7 +28,8 @@ func snapOf(sh *SupportShard) snap {
 
 // TestSnapshotCanonical: the snapshot is a pure function of the logical
 // counts — shards that interned the same labels in different orders
-// (mined tree orders reversed) snapshot identically, in both key modes.
+// (mined tree orders reversed) snapshot identically, at the default
+// maxdist and past the old 4-bit distance field (D(14)).
 func TestSnapshotCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	forest := randForest(rng, 16, 40, 6)
@@ -36,7 +37,7 @@ func TestSnapshotCanonical(t *testing.T) {
 	for i, tr := range forest {
 		rev[len(forest)-1-i] = tr
 	}
-	for _, maxD := range []Dist{D(3), MaxPackedDist + 3} {
+	for _, maxD := range []Dist{D(3), D(17)} {
 		opts := ForestOptions{Options: Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2}
 		a := buildShard(forest, opts)
 		b := buildShard(rev, opts)
@@ -186,6 +187,9 @@ func TestFoldTranslated(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("error %q does not name the defect", err)
 	}
+	if err := sh.FoldTranslated(0, labels, []ShardItem{{A: 0, B: 1, D: MaxPackedDist + 1, N: 1}}); err == nil {
+		t.Fatal("accepted a distance past MaxPackedDist")
+	}
 }
 
 // TestDrainSorted: draining empties the counts but keeps the symbol
@@ -197,17 +201,11 @@ func TestDrainSorted(t *testing.T) {
 	opts := DefaultForestOptions()
 
 	whole := buildShard(forest, opts)
-	wantItems, err := buildShard(forest, opts).DrainSorted()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantItems := buildShard(forest, opts).DrainSorted()
 
 	// Drain in two installments and merge the runs by key.
 	sh := buildShard(forest[:6], opts)
-	run1, err := sh.DrainSorted()
-	if err != nil {
-		t.Fatal(err)
-	}
+	run1 := sh.DrainSorted()
 	if sh.Len() != 0 {
 		t.Fatalf("Len() = %d after drain, want 0", sh.Len())
 	}
@@ -218,10 +216,7 @@ func TestDrainSorted(t *testing.T) {
 	for _, tr := range forest[6:] {
 		sh.AddTree(tr)
 	}
-	run2, err := sh.DrainSorted()
-	if err != nil {
-		t.Fatal(err)
-	}
+	run2 := sh.DrainSorted()
 	labelsAfter := sh.LocalLabels()
 	if !reflect.DeepEqual(labelsBefore, labelsAfter[:len(labelsBefore)]) {
 		t.Fatal("drain renumbered existing symbols")
@@ -251,23 +246,6 @@ func TestDrainSorted(t *testing.T) {
 		if x.A > y.A || (x.A == y.A && (x.B > y.B || (x.B == y.B && x.D >= y.D))) {
 			t.Fatalf("drained run unsorted at %d", i)
 		}
-	}
-
-	generic := NewSupportShard(ForestOptions{
-		Options: Options{MaxDist: MaxPackedDist + 3, MinOccur: 1}, MinSup: 2,
-	})
-	if _, err := generic.DrainSorted(); err == nil {
-		t.Fatal("generic shard accepted a drain")
-	}
-}
-
-// TestLocalLabelsGenericNil pins the generic-mode contract.
-func TestLocalLabelsGenericNil(t *testing.T) {
-	generic := NewSupportShard(ForestOptions{
-		Options: Options{MaxDist: MaxPackedDist + 3, MinOccur: 1}, MinSup: 2,
-	})
-	if generic.LocalLabels() != nil {
-		t.Fatal("generic shard returned a label table")
 	}
 }
 

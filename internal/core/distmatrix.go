@@ -40,12 +40,10 @@ func (m *DistMatrix) At(i, j int) float64 {
 func (m *DistMatrix) Condensed() []float64 { return m.d }
 
 // BuildProfiles mines every tree once and freezes each item set into a
-// Profile under the variant. When the options are packable the whole
-// forest is interned into one shared Symbols table first (a serial
-// read-only pass, as MineForestParallel does) and mining fans out over
-// workers on packed integer keys; beyond MaxPackedDist the string-keyed
-// miner runs instead, still one tree per worker. workers ≤ 0 selects
-// GOMAXPROCS.
+// Profile under the variant. The whole forest is interned into one
+// shared Symbols table first (a serial pass, as MineForestParallel
+// does), then mining fans out over workers on packed integer keys, one
+// tree at a time. workers ≤ 0 selects GOMAXPROCS.
 func BuildProfiles(trees []*tree.Tree, v Variant, opts Options, workers int) []*Profile {
 	profiles, err := BuildProfilesCtx(context.Background(), trees, v, opts, workers)
 	if err != nil {
@@ -70,23 +68,16 @@ func BuildProfilesCtx(ctx context.Context, trees []*tree.Tree, v Variant, opts O
 	if workers > len(trees) {
 		workers = len(trees)
 	}
-	var syms *Symbols
-	if packable(opts.MaxDist) {
-		syms = NewSymbols()
-		for _, t := range trees {
-			syms.InternTree(t)
-		}
+	syms := NewSymbols()
+	for _, t := range trees {
+		syms.InternTree(t)
 	}
 	mineOne := func(i int) error {
 		err := guard.Run(func() error {
 			if err := faults.Hit(faults.ProfileWorker); err != nil {
 				return err
 			}
-			if syms != nil {
-				profiles[i] = NewProfileISet(MineISet(trees[i], opts, syms), v)
-			} else {
-				profiles[i] = NewProfileItems(Mine(trees[i], opts), v)
-			}
+			profiles[i] = NewProfileISet(MineISet(trees[i], opts, syms), v)
 			return nil
 		})
 		if err != nil {
@@ -94,17 +85,18 @@ func BuildProfilesCtx(ctx context.Context, trees []*tree.Tree, v Variant, opts O
 		}
 		return nil
 	}
-	if workers <= 1 {
-		for i := range trees {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := mineOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return profiles, nil
+	if err := runPool(ctx, workers, len(trees), mineOne); err != nil {
+		return nil, err
 	}
+	return profiles, nil
+}
+
+// runPool runs do(0) … do(n−1) across workers goroutines that claim
+// indices with work-stealing — a single worker included, so there is
+// one code path whatever the count. Every worker checks ctx before each
+// claim and stops at its first error; the pool drains and returns
+// guard.First of the workers' errors.
+func runPool(ctx context.Context, workers, n int, do func(i int) error) error {
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -118,10 +110,10 @@ func BuildProfilesCtx(ctx context.Context, trees []*tree.Tree, v Variant, opts O
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(trees) {
+				if i >= n {
 					return
 				}
-				if err := mineOne(i); err != nil {
+				if err := do(i); err != nil {
 					errs[w] = err
 					return
 				}
@@ -129,10 +121,7 @@ func BuildProfilesCtx(ctx context.Context, trees []*tree.Tree, v Variant, opts O
 		}(w)
 	}
 	wg.Wait()
-	if err := guard.First(errs); err != nil {
-		return nil, err
-	}
-	return profiles, nil
+	return guard.First(errs)
 }
 
 // ProfileDistMatrix fills the all-pairs distance matrix of pre-built
@@ -180,7 +169,8 @@ func ProfileDistMatrixCtx(ctx context.Context, profiles []*Profile, workers int)
 	if workers > bands {
 		workers = bands
 	}
-	fillBand := func(lo int) error {
+	fillBand := func(b int) error {
+		lo := b * matrixRowBand
 		hi := lo + matrixRowBand
 		if hi > n-1 {
 			hi = n - 1
@@ -220,42 +210,7 @@ func ProfileDistMatrixCtx(ctx context.Context, profiles []*Profile, workers int)
 		}
 		return nil
 	}
-	if workers <= 1 {
-		for lo := 0; lo < n-1; lo += matrixRowBand {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := fillBand(lo); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
-	var nextBand atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				b := int(nextBand.Add(1)) - 1
-				if b >= bands {
-					return
-				}
-				if err := fillBand(b * matrixRowBand); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := guard.First(errs); err != nil {
+	if err := runPool(ctx, workers, bands, fillBand); err != nil {
 		return nil, err
 	}
 	return m, nil

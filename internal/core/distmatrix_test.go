@@ -34,7 +34,7 @@ func serialMapMatrix(trees []*tree.Tree, v Variant, opts Options) [][]float64 {
 // TestTDistMatrixParallelDifferential pins the engine end to end:
 // TDistMatrixParallel at several worker counts (including the serial
 // fill) against the map-based per-pair reference, over random forests
-// whose MaxDist sweeps the packable boundary and across all four
+// whose MaxDist sweeps D(14), the old 4-bit IKey distance bound, and across all four
 // variants. Running under -race (the Makefile race target matches
 // "Parallel") also exercises the row work-stealing for data races.
 func TestTDistMatrixParallelDifferential(t *testing.T) {

@@ -18,19 +18,21 @@ import (
 // O(n · maxLevel · |labels at a level|) histogram arithmetic; on trees
 // with many repeated labels (phylogenies mined at the Table 2 defaults)
 // it does strictly less work. The histograms run on interned symbol IDs
-// and the items accumulate under packed keys; distances beyond
-// MaxPackedDist fall back to Mine. The result is always identical to
-// Mine's — property-tested in dp_test.go.
+// and the items accumulate under packed keys, truncated like Mine's
+// buckets to the tree height, and like Mine it panics when t can reach a
+// distance past MaxPackedDist. The result is always identical to Mine's
+// — property-tested in dp_test.go.
 func MineDP(t *tree.Tree, opts Options) ItemSet {
-	if !packable(opts.MaxDist) {
-		return Mine(t, opts)
-	}
 	if opts.MaxDist < 0 || t.Size() == 0 {
 		return make(ItemSet)
 	}
 	syms := NewSymbols()
 	syms.InternTree(t)
 	_, maxJ := opts.MaxDist.Levels()
+	maxJ = min(maxJ, t.Height())
+	if err := reachErr(t, opts.MaxDist, maxJ); err != nil {
+		panic(err)
+	}
 	d := &dpMiner{t: t, opts: opts, syms: syms, maxJ: maxJ, items: make(ISet)}
 	d.visit(t.Root())
 	return d.items.ToItemSet(syms, opts.MinOccur)
@@ -84,8 +86,11 @@ func (d *dpMiner) combine(hists []depthHist) {
 	if len(hists) < 2 {
 		return
 	}
-	for _, dist := range ValidDistances(d.opts.MaxDist) {
+	for dist := Dist(0); dist <= d.opts.MaxDist; dist++ {
 		i, j := dist.Levels()
+		if j > d.maxJ {
+			break // j is nondecreasing in dist
+		}
 		for c1 := 0; c1 < len(hists); c1++ {
 			h1 := hists[c1].at(i)
 			if h1 == nil {

@@ -48,17 +48,17 @@ func randAlphaTree(rng *rand.Rand, n, alpha int) *tree.Tree {
 
 // TestMineInternedMatchesStringPathAndOracle is the headline property
 // test for the interned core: across random trees, alphabet sizes,
-// maxdist values (including ones past MaxPackedDist, which take the
-// string fallback), and minoccur values, Mine must agree with the
-// pre-refactor string path and with the brute-force oracle.
+// maxdist values (including ones past D(14), the old 4-bit distance
+// field), and minoccur values, Mine must agree with the pre-refactor
+// string path and with the brute-force oracle.
 func TestMineInternedMatchesStringPathAndOracle(t *testing.T) {
 	f := func(seed int64, size, alpha, maxD, minOcc uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size)%60 + 1
 		a := int(alpha)%12 + 1
 		opts := Options{
-			// 0..19 halves: roughly a third of the runs exceed
-			// MaxPackedDist (14) and exercise the fallback.
+			// 0..19 halves: roughly a third of the runs exceed D(14),
+			// past what the old 4-bit distance field could carry.
 			MaxDist:  Dist(int(maxD) % 20),
 			MinOccur: int(minOcc)%3 + 1,
 		}
@@ -80,7 +80,7 @@ func TestMineInternedMatchesStringPathAndOracle(t *testing.T) {
 }
 
 // TestMineCountsInternedMatchesMine re-checks the counting miner on the
-// wider alphabet/maxdist space, including the string fallback region.
+// wider alphabet/maxdist space, including maxdist past D(14).
 func TestMineCountsInternedMatchesMine(t *testing.T) {
 	f := func(seed int64, size, alpha, maxD uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -159,14 +159,15 @@ func TestMineForestInternedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestMineForestFallbackPastPackedDist pins the behavior of the
-// MaxDist > MaxPackedDist region: both forest miners must still agree
-// with the first-principles oracle (they take string-keyed paths there).
+// TestMineForestFallbackPastPackedDist pins the behavior past D(14),
+// the old 4-bit distance field, where forest mining once took a
+// string-keyed fallback: both forest miners must agree with the
+// first-principles oracle there.
 func TestMineForestFallbackPastPackedDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	forest := randForest(rng, 5, 40, 5)
 	opts := ForestOptions{
-		Options: Options{MaxDist: MaxPackedDist + 6, MinOccur: 1},
+		Options: Options{MaxDist: D(20), MinOccur: 1},
 		MinSup:  2,
 	}
 	want := naiveForestOracle(forest, opts)
@@ -178,9 +179,9 @@ func TestMineForestFallbackPastPackedDist(t *testing.T) {
 	}
 }
 
-// TestMineForestFallbackRoundMemory checks that a round past
-// MaxPackedDist holds O(workers × distinct items) — the workers' private
-// count maps — rather than one item set per tree of the round. It mines
+// TestMineForestFallbackRoundMemory checks that a round past D(14) holds
+// O(workers × distinct items) — the workers' private accumulators —
+// rather than one item set per tree of the round. It mines
 // one tree repeated n times as a single round (so every tree's item set
 // is the same and the distinct items are one tree's), samples the heap
 // each GC cycle marks live while the round runs, and requires the peak
@@ -193,7 +194,7 @@ func TestMineForestFallbackRoundMemory(t *testing.T) {
 	const n, workers = 1500, 2
 	tr := randAlphaTree(rand.New(rand.NewSource(5)), 60, 1000)
 	opts := ForestOptions{
-		Options: Options{MaxDist: MaxPackedDist + 6, MinOccur: 1},
+		Options: Options{MaxDist: D(20), MinOccur: 1},
 		MinSup:  2,
 	}
 	forest := make([]*tree.Tree, n)
@@ -213,7 +214,7 @@ func TestMineForestFallbackRoundMemory(t *testing.T) {
 	settle := func() { runtime.GC(); runtime.GC() }
 	settle()
 	base := live()
-	set := supportItems(tr, opts)
+	set := Mine(tr, opts.Options)
 	runtime.GC()
 	perSet := live() - base
 	runtime.KeepAlive(set)
@@ -248,7 +249,7 @@ func TestMineForestFallbackRoundMemory(t *testing.T) {
 		one[i].Support = n
 	}
 	if !reflect.DeepEqual(got, one) {
-		t.Fatalf("fallback result differs from the oracle: %d vs %d pairs", len(got), len(one))
+		t.Fatalf("result differs from the oracle: %d vs %d pairs", len(got), len(one))
 	}
 	growth := int64(peak) - int64(base)
 	t.Logf("peak live growth %d bytes; one item set %d bytes", growth, perSet)
@@ -316,7 +317,7 @@ func TestSimInternedMatchesStringPath(t *testing.T) {
 }
 
 // TestMineDPInternedMatchesMine covers the histogram-DP miner on the
-// wider space, including the >MaxPackedDist region where it delegates.
+// wider space, including maxdist past D(14).
 func TestMineDPInternedMatchesMine(t *testing.T) {
 	f := func(seed int64, size, alpha, maxD uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -192,87 +192,6 @@ func (m *miner) accumulateBlocked(ac *accum) {
 	}
 }
 
-// accumulateSymVec is the mid ablation point: the same symbol-vector
-// enumeration, but accumulating through the general accum.add in
-// first-touch order instead of the sorted row-major word sweep. Kept so
-// BenchmarkMineCore can attribute the win between the counting identity
-// and the blocked accumulation separately.
-func (m *miner) accumulateSymVec(ac *accum) {
-	if m.maxJ == 0 {
-		return
-	}
-	lv := &m.lv
-	lv.prepare(m.syms.Len(), m.maxJ)
-	t, nodeSym := m.t, m.nodeSym
-	for a := tree.NodeID(0); a < tree.NodeID(t.Size()); a++ {
-		kids := t.Children(a)
-		if len(kids) < 2 {
-			continue
-		}
-		lm := m.lcaLevels(kids)
-		if lm == 0 {
-			continue
-		}
-		m.buildLevels(kids, lm)
-		for d := Dist(0); d <= m.opts.MaxDist; d++ {
-			i, j := d.Levels()
-			if j > lm {
-				break
-			}
-			if !lv.pairable(i, j) {
-				continue
-			}
-			dc := int(d)
-			// Same-child correction via add (not bump): this variant
-			// must work for map-mode accumulators too, and add has no
-			// ordering requirement against the totals loop below.
-			for _, c := range kids {
-				if i == j {
-					bkt := m.bucket(c, i)
-					for x, u := range bkt {
-						su := nodeSym[u]
-						for _, v := range bkt[x+1:] {
-							ac.add(su, nodeSym[v], dc, -1)
-						}
-					}
-					continue
-				}
-				us := m.bucket(c, i)
-				if len(us) == 0 {
-					continue
-				}
-				for _, u := range us {
-					su := nodeSym[u]
-					for _, v := range m.bucket(c, j) {
-						ac.add(su, nodeSym[v], dc, -1)
-					}
-				}
-			}
-			cntI, listI := lv.cnt[i], lv.occList[i]
-			cntJ, listJ := lv.cnt[j], lv.occList[j]
-			if i == j {
-				for x, s1 := range listI {
-					n1 := cntI[s1]
-					if n1 > 1 {
-						ac.add(s1, s1, dc, pairsOf(n1))
-					}
-					for _, s2 := range listI[x+1:] {
-						ac.add(s1, s2, dc, n1*cntI[s2])
-					}
-				}
-				continue
-			}
-			for _, s1 := range listI {
-				n1 := cntI[s1]
-				for _, s2 := range listJ {
-					ac.add(s1, s2, dc, n1*cntJ[s2])
-				}
-			}
-		}
-		lv.clear()
-	}
-}
-
 // pairable reports whether the level pair (i, j) can produce any
 // cross-child pair at the current LCA: both levels populated, and not
 // all nodes concentrated under one child.

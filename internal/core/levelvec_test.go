@@ -9,9 +9,8 @@ import (
 	"treemine/internal/treegen"
 )
 
-// cellKey identifies one accumulated item without IKey's packed-distance
-// limit, so the differential below can compare paths at distances beyond
-// MaxPackedDist.
+// cellKey identifies one accumulated item as an accumulator reports it,
+// distance slot unpacked.
 type cellKey struct {
 	a, b uint32
 	dc   int
@@ -71,11 +70,10 @@ func diffCells(t *testing.T, name string, got, want map[cellKey]int32) {
 }
 
 // TestLevelVecDifferential quick-checks the symbol-vector accumulation
-// (both the blocked production path and the symvec ablation variant)
+// (the blocked production path) and the seed pair enumeration
 // bit-for-bit against the forEachPair oracle over random tree shapes, at
-// the packable boundary: MaxDist = MaxPackedDist and one past it (where
-// packed keys are impossible but the dense accumulator still runs, with
-// more distance slots).
+// MaxDist = D(14), the old 4-bit distance field's bound, and one past it
+// (more distance slots).
 func TestLevelVecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []treegen.Params{
@@ -88,7 +86,7 @@ func TestLevelVecDifferential(t *testing.T) {
 	for _, p := range shapes {
 		for trial := 0; trial < 3; trial++ {
 			tr := treegen.Fanout(rng, p)
-			for _, md := range []Dist{MaxPackedDist, MaxPackedDist + 1} {
+			for _, md := range []Dist{D(14), D(15)} {
 				opts := Options{MaxDist: md, MinOccur: 1}
 				syms := NewSymbols()
 				syms.InternTree(tr)
@@ -101,16 +99,10 @@ func TestLevelVecDifferential(t *testing.T) {
 					m.accumulateBlocked(ac)
 				})
 				diffCells(t, name+" blocked", blocked, want)
-				symvec := accumVia(tr, opts, syms, func(m *miner, ac *accum) {
-					m.accumulateSymVec(ac)
+				pairs := accumVia(tr, opts, syms, func(m *miner, ac *accum) {
+					m.accumulatePairs(ac)
 				})
-				diffCells(t, name+" symvec", symvec, want)
-				if md <= MaxPackedDist {
-					pairs := accumVia(tr, opts, syms, func(m *miner, ac *accum) {
-						m.accumulatePairs(ac)
-					})
-					diffCells(t, name+" pairs", pairs, want)
-				}
+				diffCells(t, name+" pairs", pairs, want)
 			}
 		}
 	}
@@ -123,7 +115,7 @@ func TestLevelVecDifferential(t *testing.T) {
 func TestLevelVecDifferentialMapMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := treegen.Fanout(rng, treegen.Params{TreeSize: 150, Fanout: 5, AlphabetSize: 100})
-	opts := Options{MaxDist: MaxPackedDist, MinOccur: 1}
+	opts := Options{MaxDist: D(14), MinOccur: 1}
 
 	big := NewSymbols()
 	for i := 0; i < 3000; i++ {

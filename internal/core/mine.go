@@ -39,7 +39,8 @@ func DefaultOptions() Options {
 //
 // Internally the pass runs on interned integer labels and a pooled
 // arena, so repeat calls allocate little beyond the returned ItemSet;
-// labels reappear as strings only in the result.
+// labels reappear as strings only in the result. Mine panics when t can
+// reach a distance past MaxPackedDist (see reachErr).
 func Mine(t *tree.Tree, opts Options) ItemSet {
 	m := getMiner(t, opts, nil)
 	defer m.release()
@@ -47,41 +48,27 @@ func Mine(t *tree.Tree, opts Options) ItemSet {
 	if m.maxJ == 0 {
 		return items
 	}
-	if m.packed() {
-		m.acc.init(m.syms.Len(), m.nd)
-		m.accumulate(&m.acc)
-		syms, minOccur := m.syms, opts.MinOccur
-		// Drained cells arrive roughly row-major in (a, b), so memoizing
-		// the two label lookups turns most cells' string work into a
-		// symbol-ID compare.
-		lastA, lastB := ^uint32(0), ^uint32(0)
-		var la, lb string
-		m.acc.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) < minOccur {
-				return
-			}
-			if a != lastA {
-				la, lastA = syms.Label(a), a
-			}
-			if b != lastB {
-				lb, lastB = syms.Label(b), b
-			}
-			items[NewKey(la, lb, Dist(dc))] = int(n)
-		})
-		return items
-	}
-	// Distances beyond MaxPackedDist: enumerate pairs on string keys,
-	// then prune below-minoccur items in place — no second map.
-	m.forEachPair(func(u, v tree.NodeID, d Dist) {
-		items[NewKey(t.MustLabel(u), t.MustLabel(v), d)]++
-	})
-	if opts.MinOccur > 1 {
-		for k, n := range items {
-			if n < opts.MinOccur {
-				delete(items, k)
-			}
+	m.mustPack()
+	m.acc.init(m.syms.Len(), m.nd)
+	m.accumulate(&m.acc)
+	syms, minOccur := m.syms, opts.MinOccur
+	// Drained cells arrive roughly row-major in (a, b), so memoizing
+	// the two label lookups turns most cells' string work into a
+	// symbol-ID compare.
+	lastA, lastB := ^uint32(0), ^uint32(0)
+	var la, lb string
+	m.acc.drain(func(a, b uint32, dc int, n int32) {
+		if int(n) < minOccur {
+			return
 		}
-	}
+		if a != lastA {
+			la, lastA = syms.Label(a), a
+		}
+		if b != lastB {
+			lb, lastB = syms.Label(b), b
+		}
+		items[NewKey(la, lb, Dist(dc))] = int(n)
+	})
 	return items
 }
 
@@ -110,17 +97,15 @@ func MinePairs(t *tree.Tree, opts Options) []Pair {
 // already contain every label of t (use Symbols.InternTree). It is the
 // forest-scale building block: callers holding one shared symbol table
 // mine many trees and compare the results without ever touching strings.
-// opts.MaxDist must be at most MaxPackedDist.
+// Like Mine it panics when t can reach a distance past MaxPackedDist.
 func MineISet(t *tree.Tree, opts Options, syms *Symbols) ISet {
-	if !packable(opts.MaxDist) {
-		panic(fmt.Sprintf("core: MineISet at maxdist %s beyond MaxPackedDist", opts.MaxDist))
-	}
 	m := getMiner(t, opts, syms)
 	defer m.release()
 	out := make(ISet)
 	if m.maxJ == 0 {
 		return out
 	}
+	m.mustPack()
 	m.acc.init(syms.Len(), m.nd)
 	m.accumulate(&m.acc)
 	minOccur := opts.MinOccur
@@ -147,7 +132,7 @@ type miner struct {
 	own    *Symbols
 	shared bool
 	maxJ   int // deepest bucket level, clamped to the tree height
-	nd     int // number of valid distance slots (MaxDist+1, min 0)
+	nd     int // number of distance slots (min(MaxDist, MaxPackedDist)+1, min 0)
 
 	// SoA copies of the tree's per-node structure, filled in one pass so
 	// the bucket-building walks touch flat arrays instead of chasing
@@ -189,9 +174,27 @@ func (m *miner) release() {
 	minerPool.Put(m)
 }
 
-// packed reports whether this pass can accumulate into packed integer
-// keys.
-func (m *miner) packed() bool { return packable(m.opts.MaxDist) }
+// reachErr reports whether a pass over t whose deepest bucket level is
+// maxJ (clamped to t's height) can generate a pair whose distance does
+// not fit an IKey. The deepest pair such a pass enumerates sits maxJ
+// levels below its LCA, at distance 2·maxJ−2 halves at most, so that
+// needs a tree more than 2,048 levels deep mined at maxdist > 2047. A
+// pass that could reach it is refused whole instead of aliasing keys.
+func reachErr(t *tree.Tree, maxDist Dist, maxJ int) error {
+	if maxJ == 0 || min(maxDist, Dist(2*maxJ-2)) <= MaxPackedDist {
+		return nil
+	}
+	return fmt.Errorf("core: tree of height %d mined at maxdist %s can reach past MaxPackedDist (%s)",
+		t.Height(), maxDist, MaxPackedDist)
+}
+
+// mustPack panics with reachErr's error for the miner's pass, for the
+// entry points that have no error return.
+func (m *miner) mustPack() {
+	if err := reachErr(m.t, m.opts.MaxDist, m.maxJ); err != nil {
+		panic(err)
+	}
+}
 
 // reset points the miner at t and rebuilds the buckets in O(n · maxJ):
 // every labeled node v is recorded under each of its ≤ maxJ nearest
@@ -202,7 +205,7 @@ func (m *miner) reset(t *tree.Tree, opts Options, syms *Symbols) {
 	if opts.MaxDist < 0 || t.Size() == 0 {
 		return
 	}
-	m.nd = int(opts.MaxDist) + 1
+	m.nd = int(min(opts.MaxDist, MaxPackedDist)) + 1
 
 	if syms != nil {
 		m.syms, m.shared = syms, true

@@ -89,8 +89,9 @@ func MineForestParallelCtx(ctx context.Context, trees []*tree.Tree, opts ForestO
 }
 
 // supportSlots returns the number of distance slots support accumulation
-// needs: one per concrete distance, or a single wildcard slot under
-// IgnoreDist.
+// needs: one per concrete distance an IKey can carry — the miner's own
+// slot count, so a tree's items fold cell to cell — or a single wildcard
+// slot under IgnoreDist.
 func supportSlots(opts ForestOptions) int {
 	if opts.MaxDist < 0 {
 		return 0
@@ -98,7 +99,7 @@ func supportSlots(opts ForestOptions) int {
 	if opts.IgnoreDist {
 		return 1
 	}
-	return int(opts.MaxDist) + 1
+	return int(min(opts.MaxDist, MaxPackedDist)) + 1
 }
 
 // mineTreeSupport mines the tree the miner is pointed at and returns the
@@ -129,17 +130,6 @@ func mineTreeSupport(m *miner, opts ForestOptions) (items *accum, minN int32) {
 		}
 	})
 	return wild, 1
-}
-
-// supportItems mines t to the string-keyed items it contributes to
-// forest support — the per-tree unit past MaxPackedDist, where packed
-// keys cannot represent the distances.
-func supportItems(t *tree.Tree, opts ForestOptions) ItemSet {
-	items := Mine(t, opts.Options)
-	if opts.IgnoreDist {
-		items = items.IgnoreDist()
-	}
-	return items
 }
 
 // Support returns the support of a specific label pair at distance d

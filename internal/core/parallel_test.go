@@ -35,14 +35,14 @@ func TestMineForestParallelMatchesSerial(t *testing.T) {
 // worker-count clamp: workers beyond len(trees) are clamped (and ≤ 1
 // workers, including a clamp all the way down on tiny forests, take the
 // serial path) — in every case the sorted output must be identical to
-// the serial miner's, for both the packed and the string-keyed fallback
-// option regions.
+// the serial miner's, at the default maxdist and past D(14), where a
+// string-keyed fallback once ran.
 func TestMineForestParallelWorkerClamp(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		forest := randomForest(int64(11+n), n, 30)
 		for _, opts := range []ForestOptions{
 			{Options: Options{MaxDist: D(3), MinOccur: 1}, MinSup: 1},
-			{Options: Options{MaxDist: MaxPackedDist + 2, MinOccur: 1}, MinSup: 1},
+			{Options: Options{MaxDist: D(16), MinOccur: 1}, MinSup: 1},
 		} {
 			serial := MineForest(forest, opts)
 			for _, workers := range []int{0, 1, len(forest), len(forest) + 7} {

@@ -12,13 +12,6 @@ type Posting struct {
 	N   int32
 }
 
-// keyPosting is Posting's string-keyed twin for option sets beyond the
-// packable range.
-type keyPosting struct {
-	Key Key
-	N   int32
-}
-
 // Profile is a tree's cousin-pair item multiset projected under one
 // Variant and frozen into a sorted posting list with a cached total.
 // Freezing happens once per tree; after that, the tree distance between
@@ -28,35 +21,27 @@ type keyPosting struct {
 // that all-pairs work wants: TreeMiner's scope lists and FREQT's
 // per-tree occurrence lists play the same role.
 //
-// A profile is either packed (posting list of IKeys over a Symbols
-// table) or string-keyed (beyond MaxPackedDist); the two kinds cannot be
-// compared against each other. Profiles are immutable once built and
-// safe for concurrent reads.
+// Postings are IKeys over one Symbols table; profiles built over
+// different tables cannot be compared. Profiles are immutable once built
+// and safe for concurrent reads.
 type Profile struct {
-	posts  []Posting    // packed postings, sorted ascending by Key
-	sposts []keyPosting // string-keyed postings, sorted by CompareKeys
-	packed bool
-	total  int64 // multiset cardinality of the projected view
+	posts []Posting // sorted ascending by Key
+	total int64     // multiset cardinality of the projected view
 }
 
 // Len returns the number of distinct postings.
-func (p *Profile) Len() int {
-	if p.packed {
-		return len(p.posts)
-	}
-	return len(p.sposts)
-}
+func (p *Profile) Len() int { return len(p.posts) }
 
 // Total returns the multiset cardinality of the projected view (the
 // |cpi(T)| the tdist denominator uses).
 func (p *Profile) Total() int64 { return p.total }
 
 // NewProfileISet freezes an interned item multiset (all keys from one
-// Symbols table) into a packed profile under the variant. The projection
+// Symbols table) into a profile under the variant. The projection
 // mirrors ISet.view but lands directly in the sorted posting list, with
 // no intermediate map.
 func NewProfileISet(s ISet, v Variant) *Profile {
-	p := &Profile{packed: true}
+	p := &Profile{}
 	if len(s) == 0 {
 		return p
 	}
@@ -102,79 +87,32 @@ func NewProfileISet(s ISet, v Variant) *Profile {
 	return p
 }
 
-// NewProfileItems freezes a string-keyed item set into a profile under
-// the variant — the fallback for option sets packed keys cannot
-// represent.
-func NewProfileItems(s ItemSet, v Variant) *Profile {
-	p := &Profile{}
-	view := v.view(s)
-	if len(view) == 0 {
-		return p
-	}
-	p.sposts = make([]keyPosting, 0, len(view))
-	for k, n := range view {
-		p.sposts = append(p.sposts, keyPosting{Key: k, N: int32(n)})
-		p.total += int64(n)
-	}
-	sort.Slice(p.sposts, func(i, j int) bool {
-		return CompareKeys(p.sposts[i].Key, p.sposts[j].Key) < 0
-	})
-	return p
-}
-
 // TDistProfiles is the cousin-based tree distance of Eq. 6 computed from
 // two frozen profiles of the same variant by a linear merge-join over
 // their sorted posting lists: Σ min over shared keys gives |∩|, and
 // |∪| = total₁ + total₂ − |∩|. It allocates nothing and never hashes —
 // the all-pairs hot path of TDistMatrixParallel and the kernel search
-// runs entirely here. Both profiles must come from the same engine
-// (same Symbols table when packed); mixing a packed and a string-keyed
-// profile panics unless one side is empty.
+// runs entirely here. Both profiles must be built over the same Symbols
+// table.
 func TDistProfiles(p, q *Profile) float64 {
 	var inter int64
-	switch {
-	case p.Len() == 0 || q.Len() == 0:
-		// Nothing shared; fall through to the union check.
-	case p.packed != q.packed:
-		panic("core: TDistProfiles on profiles of different key kinds")
-	case p.packed:
-		a, b := p.posts, q.posts
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			ka, kb := a[i].Key, b[j].Key
-			switch {
-			case ka < kb:
-				i++
-			case ka > kb:
-				j++
-			default:
-				n := a[i].N
-				if b[j].N < n {
-					n = b[j].N
-				}
-				inter += int64(n)
-				i++
-				j++
+	a, b := p.posts, q.posts
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ka, kb := a[i].Key, b[j].Key
+		switch {
+		case ka < kb:
+			i++
+		case ka > kb:
+			j++
+		default:
+			n := a[i].N
+			if b[j].N < n {
+				n = b[j].N
 			}
-		}
-	default:
-		a, b := p.sposts, q.sposts
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch CompareKeys(a[i].Key, b[j].Key) {
-			case -1:
-				i++
-			case 1:
-				j++
-			default:
-				n := a[i].N
-				if b[j].N < n {
-					n = b[j].N
-				}
-				inter += int64(n)
-				i++
-				j++
-			}
+			inter += int64(n)
+			i++
+			j++
 		}
 	}
 	union := p.total + q.total - inter

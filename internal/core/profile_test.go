@@ -8,8 +8,9 @@ import (
 
 // TestProfileTDistDifferential pins the merge-join distance to both
 // existing implementations: for random tree pairs, across all four
-// variants and a MaxDist sweep crossing the packable boundary,
-// TDistProfiles ≡ TDistItems ≡ TDistISets ≡ TDist, bit for bit (all
+// variants and a MaxDist sweep crossing D(14) (the old 4-bit distance
+// field's bound), TDistProfiles ≡ TDistItems ≡ TDistISets ≡ TDist, bit
+// for bit (all
 // four compute 1 − |∩|/|∪| from exact integer cardinalities, so float
 // equality is the correct assertion).
 func TestProfileTDistDifferential(t *testing.T) {
@@ -24,13 +25,6 @@ func TestProfileTDistDifferential(t *testing.T) {
 			if got := TDist(t1, t2, v, opts); got != want {
 				t.Logf("%v opts=%+v: TDist %v != TDistItems %v", v, opts, got, want)
 				return false
-			}
-			if got := TDistProfiles(NewProfileItems(s1, v), NewProfileItems(s2, v)); got != want {
-				t.Logf("%v opts=%+v: string profiles %v != TDistItems %v", v, opts, got, want)
-				return false
-			}
-			if !packable(opts.MaxDist) {
-				continue
 			}
 			syms := NewSymbols()
 			syms.InternTree(t1)
@@ -77,19 +71,13 @@ func TestProfileTotalsMatchViews(t *testing.T) {
 					t.Fatalf("%v: postings not strictly sorted at %d", v, i)
 				}
 			}
-			sp := NewProfileItems(items, v)
-			for i := 1; i < len(sp.sposts); i++ {
-				if CompareKeys(sp.sposts[i-1].Key, sp.sposts[i].Key) >= 0 {
-					t.Fatalf("%v: string postings not strictly sorted at %d", v, i)
-				}
-			}
 		}
 	}
 }
 
 // TestTDistProfilesZeroAlloc is the regression gate on the pairwise
-// inner loop: one profile-to-profile distance must allocate nothing, on
-// both the packed and the string-keyed kinds. This is what keeps
+// inner loop: one profile-to-profile distance must allocate nothing, at
+// the default maxdist and past D(14). This is what keeps
 // cluster.TDistMatrix and the kernel search from drifting back onto
 // per-pair map rebuilds.
 func TestTDistProfilesZeroAlloc(t *testing.T) {
@@ -108,35 +96,15 @@ func TestTDistProfilesZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { TDistProfiles(p1, p2) }); n != 0 {
 		t.Errorf("packed TDistProfiles allocates %v per op, want 0", n)
 	}
-	stringOpts := Options{MaxDist: MaxPackedDist + 2, MinOccur: 1}
-	q1 := NewProfileItems(Mine(t1, stringOpts), VariantDistOccur)
-	q2 := NewProfileItems(Mine(t2, stringOpts), VariantDistOccur)
+	deepOpts := Options{MaxDist: D(16), MinOccur: 1}
+	q1 := NewProfileISet(MineISet(t1, deepOpts, syms), VariantDistOccur)
+	q2 := NewProfileISet(MineISet(t2, deepOpts, syms), VariantDistOccur)
 	if n := testing.AllocsPerRun(100, func() { TDistProfiles(q1, q2) }); n != 0 {
-		t.Errorf("string TDistProfiles allocates %v per op, want 0", n)
+		t.Errorf("TDistProfiles at maxdist 8 allocates %v per op, want 0", n)
 	}
-}
-
-// TestTDistProfilesKindMismatch: comparing a packed against a
-// string-keyed profile is a programming error and must panic — unless
-// one side is empty, in which case the distance is well defined without
-// looking at any key.
-func TestTDistProfilesKindMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randAlphaTree(rng, 30, 3)
-	syms := NewSymbols()
-	syms.InternTree(tr)
-	packed := NewProfileISet(MineISet(tr, DefaultOptions(), syms), VariantDistOccur)
-	str := NewProfileItems(Mine(tr, DefaultOptions()), VariantDistOccur)
-	if packed.Len() == 0 || str.Len() == 0 {
-		t.Fatal("fixture mined empty profiles")
+	// Against an empty profile the distance is defined without looking
+	// at any key.
+	if got := TDistProfiles(p1, &Profile{}); got != 1 {
+		t.Fatalf("profile vs empty = %v, want 1", got)
 	}
-	if got := TDistProfiles(packed, &Profile{}); got != 1 {
-		t.Fatalf("packed vs empty = %v, want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mixed-kind TDistProfiles did not panic")
-		}
-	}()
-	TDistProfiles(packed, str)
 }

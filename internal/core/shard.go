@@ -29,27 +29,16 @@ type SupportShard struct {
 	opts  ForestOptions
 	trees int
 
-	// Packed mode (opts.MaxDist ≤ MaxPackedDist): counts keyed by IKey
-	// over the shard-local symbol table.
+	// Counts keyed by IKey over the shard-local symbol table.
 	syms *Symbols
 	sup  map[IKey]int64
-
-	// Generic mode (beyond MaxPackedDist): counts keyed by string Key.
-	gsup map[Key]int64
 }
 
 // NewSupportShard returns an empty shard accumulating support under opts.
 // Every shard that will ever be merged with it must be built with equal
 // options.
 func NewSupportShard(opts ForestOptions) *SupportShard {
-	sh := &SupportShard{opts: opts}
-	if packable(opts.MaxDist) {
-		sh.syms = NewSymbols()
-		sh.sup = make(map[IKey]int64)
-	} else {
-		sh.gsup = make(map[Key]int64)
-	}
-	return sh
+	return &SupportShard{opts: opts, syms: NewSymbols(), sup: make(map[IKey]int64)}
 }
 
 // Options returns the mining options the shard accumulates under.
@@ -69,10 +58,7 @@ func (sh *SupportShard) Trees() int {
 func (sh *SupportShard) Len() int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.sup != nil {
-		return len(sh.sup)
-	}
-	return len(sh.gsup)
+	return len(sh.sup)
 }
 
 // AddTree mines t under the shard's options and folds its qualifying
@@ -80,20 +66,20 @@ func (sh *SupportShard) Len() int {
 // ≥ MinOccur, de-duplicated per label pair when IgnoreDist is set. New
 // labels are interned into the shard's own symbol table as they appear —
 // no up-front whole-forest symbol pass is needed, which is what makes
-// shards streamable.
+// shards streamable. Like Mine it panics, leaving the shard unchanged,
+// when t can reach a distance past MaxPackedDist.
 func (sh *SupportShard) AddTree(t *tree.Tree) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.trees++
-	if sh.sup == nil {
-		for k := range supportItems(t, sh.opts) {
-			sh.gsup[k]++
-		}
-		return
-	}
+	mark := sh.syms.Len()
 	sh.syms.InternTree(t)
 	m := getMiner(t, sh.opts.Options, sh.syms)
 	defer m.release()
+	if err := reachErr(t, sh.opts.MaxDist, m.maxJ); err != nil {
+		sh.syms.truncate(mark)
+		panic(err)
+	}
+	sh.trees++
 	items, minN := mineTreeSupport(m, sh.opts)
 	items.drain(func(a, b uint32, dc int, n int32) {
 		if n >= minN {
@@ -140,29 +126,24 @@ func (sh *SupportShard) Merge(other *SupportShard) error {
 // built once per call. Items referencing labels out of range are
 // rejected (the batch may have come from a corrupt file), though entries
 // folded before the offending one remain — callers treating a fold error
-// as fatal should discard sh.
+// as fatal should discard sh. Distances past MaxPackedDist are rejected
+// the same way.
 func (sh *SupportShard) FoldTranslated(trees int, labels []string, items []ShardItem) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.trees += trees
-	if sh.sup != nil {
-		trans := make([]uint32, len(labels))
-		for i, l := range labels {
-			trans[i] = sh.syms.Intern(l)
-		}
-		for _, it := range items {
-			if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
-				return fmt.Errorf("core: fold: symbol id out of range (%d labels)", len(labels))
-			}
-			sh.sup[NewIKey(trans[it.A], trans[it.B], it.D)] += it.N
-		}
-		return nil
+	trans := make([]uint32, len(labels))
+	for i, l := range labels {
+		trans[i] = sh.syms.Intern(l)
 	}
 	for _, it := range items {
 		if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
 			return fmt.Errorf("core: fold: symbol id out of range (%d labels)", len(labels))
 		}
-		sh.gsup[NewKey(labels[it.A], labels[it.B], it.D)] += it.N
+		if it.D > MaxPackedDist {
+			return fmt.Errorf("core: fold: distance %s past MaxPackedDist", it.D)
+		}
+		sh.sup[NewIKey(trans[it.A], trans[it.B], it.D)] += it.N
 	}
 	return nil
 }
@@ -174,29 +155,22 @@ func (sh *SupportShard) FoldTranslated(trees int, labels []string, items []Shard
 func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []ShardItem) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	trees = sh.trees
-	if sh.sup != nil {
-		labels = make([]string, sh.syms.Len())
-		for id := range labels {
-			labels[id] = sh.syms.Label(uint32(id))
-		}
-		items = make([]ShardItem, 0, len(sh.sup))
-		for k, n := range sh.sup {
-			a, b := k.Syms()
-			items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
-		}
-		return trees, labels, items
+	items = make([]ShardItem, 0, len(sh.sup))
+	for k, n := range sh.sup {
+		a, b := k.Syms()
+		items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
 	}
-	syms := NewSymbols()
-	items = make([]ShardItem, 0, len(sh.gsup))
-	for k, n := range sh.gsup {
-		items = append(items, ShardItem{A: syms.Intern(k.A), B: syms.Intern(k.B), D: k.D, N: n})
-	}
-	labels = make([]string, syms.Len())
+	return sh.trees, sh.labels(), items
+}
+
+// labels returns the symbol table in intern (symbol ID) order; the
+// caller holds sh.mu.
+func (sh *SupportShard) labels() []string {
+	labels := make([]string, sh.syms.Len())
 	for id := range labels {
-		labels[id] = syms.Label(uint32(id))
+		labels[id] = sh.syms.Label(uint32(id))
 	}
-	return trees, labels, items
+	return labels
 }
 
 // DrainSorted exports and clears the shard's current support entries:
@@ -206,15 +180,10 @@ func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []Sha
 // drains. This is the spill primitive: an out-of-core accumulator drains
 // the resident counts to a sorted on-disk run whenever they grow past
 // its budget, and the union of all drained runs (summed per key) equals
-// the counts an undrained shard would hold. Only packed shards
-// (MaxDist ≤ MaxPackedDist) support draining: a generic shard has no
-// persistent table to keep IDs stable against.
-func (sh *SupportShard) DrainSorted() ([]ShardItem, error) {
+// the counts an undrained shard would hold.
+func (sh *SupportShard) DrainSorted() []ShardItem {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.sup == nil {
-		return nil, fmt.Errorf("core: drain: shard mined past MaxPackedDist has no stable symbol table")
-	}
 	items := make([]ShardItem, 0, len(sh.sup))
 	for k, n := range sh.sup {
 		a, b := k.Syms()
@@ -222,23 +191,15 @@ func (sh *SupportShard) DrainSorted() ([]ShardItem, error) {
 	}
 	SortShardItems(items)
 	clear(sh.sup)
-	return items, nil
+	return items
 }
 
 // LocalLabels returns the shard's label table in intern (symbol ID)
-// order — the table DrainSorted items are coded against. Generic shards
-// return nil (they keep string keys, not a table).
+// order — the table DrainSorted items are coded against.
 func (sh *SupportShard) LocalLabels() []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.syms == nil {
-		return nil
-	}
-	labels := make([]string, sh.syms.Len())
-	for id := range labels {
-		labels[id] = sh.syms.Label(uint32(id))
-	}
-	return labels
+	return sh.labels()
 }
 
 // Finalize renders the accumulated counts into the public result: the
@@ -391,11 +352,9 @@ func RestoreShard(opts ForestOptions, trees int, labels []string, items []ShardI
 	}
 	sh := NewSupportShard(opts)
 	sh.trees = trees
-	if sh.sup != nil {
-		for i, l := range labels {
-			if id := sh.syms.Intern(l); id != uint32(i) {
-				return nil, fmt.Errorf("core: restore shard: duplicate label %q", l)
-			}
+	for i, l := range labels {
+		if id := sh.syms.Intern(l); id != uint32(i) {
+			return nil, fmt.Errorf("core: restore shard: duplicate label %q", l)
 		}
 	}
 	for _, it := range items {
@@ -408,14 +367,10 @@ func RestoreShard(opts ForestOptions, trees int, labels []string, items []ShardI
 		if opts.IgnoreDist != it.D.IsWild() {
 			return nil, fmt.Errorf("core: restore shard: distance %s inconsistent with IgnoreDist=%v", it.D, opts.IgnoreDist)
 		}
-		if !it.D.IsWild() && (it.D < 0 || it.D > opts.MaxDist) {
-			return nil, fmt.Errorf("core: restore shard: distance %s beyond maxdist %s", it.D, opts.MaxDist)
+		if !it.D.IsWild() && (it.D < 0 || it.D > min(opts.MaxDist, MaxPackedDist)) {
+			return nil, fmt.Errorf("core: restore shard: distance %s beyond maxdist %s or MaxPackedDist", it.D, opts.MaxDist)
 		}
-		if sh.sup != nil {
-			sh.sup[NewIKey(it.A, it.B, it.D)] += it.N
-		} else {
-			sh.gsup[NewKey(labels[it.A], labels[it.B], it.D)] += it.N
-		}
+		sh.sup[NewIKey(it.A, it.B, it.D)] += it.N
 	}
 	return sh, nil
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // TestSupportShardMatchesMineForest folds a forest into one shard
-// serially and checks the finalized output against MineForest, in both
-// key modes and under IgnoreDist.
+// serially and checks the finalized output against MineForest, at the
+// default maxdist and past D(14), and under IgnoreDist.
 func TestSupportShardMatchesMineForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	forest := randForest(rng, 20, 40, 5)
-	for _, maxD := range []Dist{D(3), MaxPackedDist + 3} {
+	for _, maxD := range []Dist{D(3), D(17)} {
 		for _, ignore := range []bool{false, true} {
 			opts := ForestOptions{
 				Options:    Options{MaxDist: maxD, MinOccur: 1},

@@ -18,15 +18,10 @@ import (
 // paper's worked example uses each pair once; the minimum is the closest
 // kinship the tree asserts for the pair).
 func Sim(c, t *tree.Tree, opts Options) float64 {
-	if packable(opts.MaxDist) {
-		syms := NewSymbols()
-		syms.InternTree(c)
-		syms.InternTree(t)
-		return simISets(MineISet(c, opts, syms), MineISet(t, opts, syms))
-	}
-	ci := Mine(c, opts)
-	ti := Mine(t, opts)
-	return SimItems(ci, ti)
+	syms := NewSymbols()
+	syms.InternTree(c)
+	syms.InternTree(t)
+	return simISets(MineISet(c, opts, syms), MineISet(t, opts, syms))
 }
 
 // SimItems computes σ from two pre-mined item sets; use it when scoring
@@ -126,23 +121,15 @@ func AvgSim(c *tree.Tree, set []*tree.Tree, opts Options) float64 {
 	if len(set) == 0 {
 		return 0
 	}
-	if packable(opts.MaxDist) {
-		syms := NewSymbols()
-		syms.InternTree(c)
-		for _, t := range set {
-			syms.InternTree(t)
-		}
-		ci := MineISet(c, opts, syms)
-		sum := 0.0
-		for _, t := range set {
-			sum += simISets(ci, MineISet(t, opts, syms))
-		}
-		return sum / float64(len(set))
+	syms := NewSymbols()
+	syms.InternTree(c)
+	for _, t := range set {
+		syms.InternTree(t)
 	}
-	ci := Mine(c, opts)
+	ci := MineISet(c, opts, syms)
 	sum := 0.0
 	for _, t := range set {
-		sum += SimItems(ci, Mine(t, opts))
+		sum += simISets(ci, MineISet(t, opts, syms))
 	}
 	return sum / float64(len(set))
 }

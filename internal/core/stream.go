@@ -303,18 +303,18 @@ func readRounds(ctx context.Context, it TreeIterator, skip, size int, out chan<-
 // miner that reads the shared table lock-free and folds each tree's
 // items cell to cell into a worker-private accumulator of the same
 // layout; the accumulators then fold into the first, which drains into
-// sh's counts. The accumulators live for one round only, so nothing
-// outlives it but sh's counts. Support counts are additive, so the result
-// is independent of worker scheduling — streamed output is deterministic.
-// Past MaxPackedDist workers count string-keyed items into private maps
-// instead, added into sh after the round — so either way a round holds
-// O(workers × distinct items), never one item set per tree. base is the
-// absolute stream index of buf[0].
+// sh's counts. The accumulators live for one round only, so a round
+// holds O(workers × distinct items), never one item set per tree, and
+// nothing outlives it but sh's counts. Support counts are additive, so
+// the result is independent of worker scheduling — streamed output is
+// deterministic. buf is never empty; base is the absolute stream index
+// of buf[0].
 //
-// A round is atomic: on cancellation or a contained worker panic sh is
-// left exactly as it was — counts, tree tally, and symbol table (rolled
-// back to its length before the round) — preserving the exact-prefix
-// invariant MineForestStreamShardCtx documents.
+// A round is atomic: on cancellation, a contained worker panic, or a
+// tree that can reach a distance past MaxPackedDist (an error naming the
+// tree), sh is left exactly as it was — counts, tree tally, and symbol
+// table (rolled back to its length before the round) — preserving the
+// exact-prefix invariant MineForestStreamShardCtx documents.
 func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, workers int) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -322,29 +322,16 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 		workers = len(buf)
 	}
 	opts := sh.opts
-	packed := sh.sup != nil
-	mark := 0
-	var accs []*accum
-	var gens []map[Key]int64
-	if packed {
-		mark = sh.syms.Len()
-		for _, t := range buf {
-			sh.syms.InternTree(t)
-		}
-		accs = make([]*accum, workers)
-	} else {
-		gens = make([]map[Key]int64, workers)
+	mark := sh.syms.Len()
+	for _, t := range buf {
+		sh.syms.InternTree(t)
 	}
+	accs := make([]*accum, workers)
 	errs := make([]error, workers)
 	work := func(w int) {
-		var m *miner
-		if packed {
-			accs[w] = new(accum)
-			accs[w].init(sh.syms.Len(), supportSlots(opts))
-			m = minerPool.Get().(*miner)
-		} else {
-			gens[w] = make(map[Key]int64)
-		}
+		accs[w] = new(accum)
+		accs[w].init(sh.syms.Len(), supportSlots(opts))
+		m := minerPool.Get().(*miner)
 		for i := w; i < len(buf); i += workers {
 			if err := ctx.Err(); err != nil {
 				errs[w] = err
@@ -354,13 +341,10 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 				if err := faults.Hit(faults.MineWorker); err != nil {
 					return err
 				}
-				if !packed {
-					for k := range supportItems(buf[i], opts) {
-						gens[w][k]++
-					}
-					return nil
-				}
 				m.reset(buf[i], opts.Options, sh.syms)
+				if err := reachErr(buf[i], opts.MaxDist, m.maxJ); err != nil {
+					return err
+				}
 				items, minN := mineTreeSupport(m, opts)
 				accs[w].fold(items, minN, true)
 				return nil
@@ -387,32 +371,23 @@ func (sh *SupportShard) mineRound(ctx context.Context, buf []*tree.Tree, base, w
 	}
 	wg.Wait()
 	if err := guard.First(errs); err != nil {
-		if packed {
-			sh.syms.truncate(mark)
-		}
+		sh.syms.truncate(mark)
 		return err
 	}
 
 	sh.trees += len(buf)
-	for _, gen := range gens {
-		for k, n := range gen {
-			sh.gsup[k] += n
-		}
+	// Sum the privates cell to cell first, so each distinct item costs
+	// one map insert rather than one per worker holding it.
+	for _, ac := range accs[1:] {
+		accs[0].fold(ac, 1, false)
 	}
-	if len(accs) > 0 {
-		// Sum the privates cell to cell first, so each distinct item
-		// costs one map insert rather than one per worker holding it.
-		for _, ac := range accs[1:] {
-			accs[0].fold(ac, 1, false)
-		}
-		if len(sh.sup) == 0 {
-			// A fresh shard (every MineForest call) takes the round's
-			// items in one allocation instead of growing its map.
-			sh.sup = make(map[IKey]int64, accs[0].size())
-		}
-		accs[0].drain(func(a, b uint32, dc int, n int32) {
-			sh.sup[sh.supportKey(a, b, dc)] += int64(n)
-		})
+	if len(sh.sup) == 0 {
+		// A fresh shard (every MineForest call) takes the round's items
+		// in one allocation instead of growing its map.
+		sh.sup = make(map[IKey]int64, accs[0].size())
 	}
+	accs[0].drain(func(a, b uint32, dc int, n int32) {
+		sh.sup[sh.supportKey(a, b, dc)] += int64(n)
+	})
 	return nil
 }

@@ -32,6 +32,9 @@ func (s *Symbols) Intern(label string) uint32 {
 		return id
 	}
 	id := uint32(len(s.labels))
+	if id >= MaxSymbols {
+		panic(fmt.Sprintf("core: more than %d distinct labels", MaxSymbols))
+	}
 	s.ids[label] = id
 	s.labels = append(s.labels, label)
 	return id
@@ -76,26 +79,28 @@ func (s *Symbols) reset() {
 
 // IKey is a cousin pair item key packed into one machine word:
 //
-//	bits 34..63  symbol ID of the smaller label (30 bits)
-//	bits  4..33  symbol ID of the larger label (30 bits)
-//	bits  0..3   cousin distance + 1 (0 encodes the wildcard)
+//	bits 38..63  symbol ID of the smaller label (26 bits)
+//	bits 12..37  symbol ID of the larger label (26 bits)
+//	bits  0..11  cousin distance + 1 (0 encodes the wildcard)
 //
 // Hashing and comparing an IKey is a single integer operation, which is
 // what makes the interned mining paths allocation-free; keys convert back
 // to the public string Key only at API boundaries. The packing follows
-// symA<<34 | symB<<4 | dist-view.
+// symA<<38 | symB<<12 | dist-view. Every mining option set runs on
+// IKeys: a pass fails loudly (see reachErr) rather than alias a key when
+// its tree can reach a distance past MaxPackedDist.
 type IKey uint64
 
 const (
-	ikeySymBits  = 30
-	ikeyDistBits = 4
+	ikeySymBits  = 26
+	ikeyDistBits = 12
 
 	// MaxSymbols is the largest number of distinct labels an IKey can
-	// address.
+	// address (2^26, about 67 million).
 	MaxSymbols = 1 << ikeySymBits
 	// MaxPackedDist is the largest cousin distance an IKey can carry
-	// (14 halves = distance 7). Options beyond it fall back to the
-	// string-keyed paths.
+	// (4094 halves = distance 2047). Reaching past it takes a tree more
+	// than 2,048 levels deep mined at maxdist > 2047.
 	MaxPackedDist = Dist(1<<ikeyDistBits - 2)
 )
 
@@ -131,9 +136,6 @@ func (k IKey) String() string {
 	a, b := k.Syms()
 	return fmt.Sprintf("(#%d, #%d, %s)", a, b, k.Dist())
 }
-
-// packable reports whether mining at maxDist can use packed integer keys.
-func packable(maxDist Dist) bool { return maxDist <= MaxPackedDist }
 
 // ISet is the interned counterpart of ItemSet: a cousin pair item
 // multiset keyed by packed IKey. It is the working representation inside

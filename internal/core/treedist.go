@@ -70,15 +70,12 @@ func (v Variant) view(s ItemSet) ItemSet {
 // work. Two trees with empty item sets (e.g. single nodes) are at
 // distance 0.
 func TDist(t1, t2 *tree.Tree, v Variant, opts Options) float64 {
-	if packable(opts.MaxDist) {
-		// Intern both trees into one table so the whole computation —
-		// mining, projection, ∩/∪ — runs on integer keys.
-		syms := NewSymbols()
-		syms.InternTree(t1)
-		syms.InternTree(t2)
-		return TDistISets(MineISet(t1, opts, syms), MineISet(t2, opts, syms), v)
-	}
-	return TDistItems(Mine(t1, opts), Mine(t2, opts), v)
+	// Intern both trees into one table so the whole computation —
+	// mining, projection, ∩/∪ — runs on integer keys.
+	syms := NewSymbols()
+	syms.InternTree(t1)
+	syms.InternTree(t2)
+	return TDistISets(MineISet(t1, opts, syms), MineISet(t2, opts, syms), v)
 }
 
 // TDistItems computes the tree distance from pre-mined item sets; use it

@@ -62,8 +62,7 @@ type Result struct {
 
 // Find selects one tree per group minimizing the average pairwise
 // distance. Every tree is mined exactly once into a frozen posting-list
-// Profile (one shared symbol table across all groups when the options
-// are packable), and the full pairwise distance matrix is filled up
+// Profile (one shared symbol table across all groups), and the full pairwise distance matrix is filled up
 // front by parallel merge-joins — so the search itself, exact or
 // descent, only ever reads a flat array. The selected trees and
 // distances are identical to evaluating TDist per candidate pair,

@@ -154,7 +154,7 @@ func TestFindDeterministic(t *testing.T) {
 func findRef(groups [][]*tree.Tree, cfg Config) *Result {
 	s := len(groups)
 	var rawDist func(gi, ti, gj, tj int) float64
-	if cfg.Options.MaxDist <= core.MaxPackedDist {
+	if cfg.Options.MaxDist <= core.D(14) {
 		syms := core.NewSymbols()
 		for _, g := range groups {
 			for _, t := range g {
@@ -267,8 +267,8 @@ func findRef(groups [][]*tree.Tree, cfg Config) *Result {
 }
 
 // TestFindMatchesReference is the differential pin for the profile
-// rewire: across fixed seeds, group shapes, variants, the packable
-// boundary, and both search regimes (exact, and descent forced by a
+// rewire: across fixed seeds, group shapes, variants, maxdist on both
+// sides of D(14) (the old 4-bit IKey distance bound), and both search regimes (exact, and descent forced by a
 // tiny budget), Find returns exactly the reference's choices, average
 // distance, and exactness.
 func TestFindMatchesReference(t *testing.T) {
@@ -277,7 +277,7 @@ func TestFindMatchesReference(t *testing.T) {
 		s := int(rng.Int63n(4)) + 2
 		k := int(rng.Int63n(4)) + 1
 		groups := groupsFixture(seed, s, k)
-		for _, maxD := range []core.Dist{core.D(3), core.MaxPackedDist + 4} {
+		for _, maxD := range []core.Dist{core.D(3), core.D(18)} {
 			for _, budget := range []int{1_000_000, 1} {
 				cfg := DefaultConfig()
 				cfg.Options.MaxDist = maxD

@@ -76,10 +76,26 @@ func emit(s *shape, parent tree.NodeID, b *tree.Builder) {
 	}
 }
 
-// UPGMA reconstructs a rooted binary phylogeny by repeatedly joining the
-// closest pair of clusters under average linkage. On ultrametric
-// distances (a perfect molecular clock) it recovers the true topology.
-func UPGMA(names []string, d [][]float64) (*tree.Tree, error) {
+// linkage is what sets one agglomerative method apart from another
+// (the Phylagglom scheme of Numerical Recipes): the criterion a join
+// minimizes and the distance update after it. Per-round state, such as
+// NJ's row sums, lives in the closures.
+type linkage struct {
+	keep  int                                      // clusters left unjoined under the root
+	round func(dist [][]float64, active []int)     // runs before each pick; may be nil
+	pick  func(dist [][]float64, i, j int) float64 // join criterion, minimized
+	// update returns the distance from a∪b to k; na and nb count the
+	// taxa in a and b.
+	update func(dist [][]float64, a, b, k, na, nb int) float64
+}
+
+// agglomerate is the one loop behind UPGMA and NeighborJoining: while
+// more than l.keep clusters remain it joins the active pair (a, b) that
+// minimizes l.pick — the first in active order on ties — into a's slot,
+// sets the merged cluster's distance to every other active cluster, and
+// drops b. The remaining clusters become the root's children; a single
+// survivor is the root itself.
+func agglomerate(names []string, d [][]float64, l linkage) (*tree.Tree, error) {
 	if err := validate(names, d); err != nil {
 		return nil, err
 	}
@@ -98,94 +114,30 @@ func UPGMA(names []string, d [][]float64) (*tree.Tree, error) {
 	for i := range active {
 		active[i] = i
 	}
-	for len(active) > 1 {
+	for len(active) > l.keep {
+		if l.round != nil {
+			l.round(dist, active)
+		}
 		bi, bj := 0, 1
-		for i := 0; i < len(active); i++ {
-			for j := i + 1; j < len(active); j++ {
-				if dist[active[i]][active[j]] < dist[active[bi]][active[bj]] {
-					bi, bj = i, j
+		best := l.pick(dist, active[0], active[1])
+		for x := range active {
+			for y := x + 1; y < len(active); y++ {
+				if q := l.pick(dist, active[x], active[y]); q < best {
+					best, bi, bj = q, x, y
 				}
 			}
 		}
 		a, b := active[bi], active[bj]
 		merged := &shape{kids: []*shape{nodes[a], nodes[b]}}
-		// Average-linkage update, stored in slot a.
 		for _, k := range active {
 			if k == a || k == b {
 				continue
 			}
-			dist[a][k] = (dist[a][k]*float64(sizes[a]) + dist[b][k]*float64(sizes[b])) /
-				float64(sizes[a]+sizes[b])
-			dist[k][a] = dist[a][k]
+			nd := l.update(dist, a, b, k, sizes[a], sizes[b])
+			dist[a][k], dist[k][a] = nd, nd
 		}
 		nodes[a] = merged
 		sizes[a] += sizes[b]
-		active[bj] = active[len(active)-1]
-		active = active[:len(active)-1]
-	}
-	b := tree.NewBuilder()
-	emit(nodes[active[0]], tree.None, b)
-	return b.Build()
-}
-
-// NeighborJoining reconstructs a phylogeny with the Saitou–Nei
-// neighbor-joining criterion. NJ trees are inherently unrooted; the
-// returned rooted tree places the root at the final three-way join (the
-// conventional presentation), leaving a trifurcating root for n ≥ 3.
-// On additive distances NJ recovers the true topology.
-func NeighborJoining(names []string, d [][]float64) (*tree.Tree, error) {
-	if err := validate(names, d); err != nil {
-		return nil, err
-	}
-	n := len(names)
-	nodes := make([]*shape, n)
-	for i, name := range names {
-		nodes[i] = &shape{label: name}
-	}
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = append([]float64(nil), d[i]...)
-	}
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-	}
-	for len(active) > 3 {
-		m := len(active)
-		// Row sums over active entries.
-		r := make(map[int]float64, m)
-		for _, i := range active {
-			for _, j := range active {
-				r[i] += dist[i][j]
-			}
-		}
-		// Minimize the Q criterion.
-		bi, bj := 0, 1
-		bestQ := 0.0
-		first := true
-		for x := 0; x < m; x++ {
-			for y := x + 1; y < m; y++ {
-				i, j := active[x], active[y]
-				q := float64(m-2)*dist[i][j] - r[i] - r[j]
-				if first || q < bestQ {
-					bestQ, bi, bj, first = q, x, y, false
-				}
-			}
-		}
-		a, b := active[bi], active[bj]
-		merged := &shape{kids: []*shape{nodes[a], nodes[b]}}
-		for _, k := range active {
-			if k == a || k == b {
-				continue
-			}
-			nd := (dist[a][k] + dist[b][k] - dist[a][b]) / 2
-			if nd < 0 {
-				nd = 0
-			}
-			dist[a][k] = nd
-			dist[k][a] = nd
-		}
-		nodes[a] = merged
 		active[bj] = active[len(active)-1]
 		active = active[:len(active)-1]
 	}
@@ -199,6 +151,51 @@ func NeighborJoining(names []string, d [][]float64) (*tree.Tree, error) {
 	b := tree.NewBuilder()
 	emit(root, tree.None, b)
 	return b.Build()
+}
+
+// UPGMA reconstructs a rooted binary phylogeny by repeatedly joining the
+// closest pair of clusters under average linkage. On ultrametric
+// distances (a perfect molecular clock) it recovers the true topology.
+func UPGMA(names []string, d [][]float64) (*tree.Tree, error) {
+	return agglomerate(names, d, linkage{
+		keep: 1,
+		pick: func(dist [][]float64, i, j int) float64 { return dist[i][j] },
+		update: func(dist [][]float64, a, b, k, na, nb int) float64 {
+			return (dist[a][k]*float64(na) + dist[b][k]*float64(nb)) / float64(na+nb)
+		},
+	})
+}
+
+// NeighborJoining reconstructs a phylogeny with the Saitou–Nei
+// neighbor-joining criterion. NJ trees are inherently unrooted; the
+// returned rooted tree places the root at the final three-way join (the
+// conventional presentation), leaving a trifurcating root for n ≥ 3.
+// On additive distances NJ recovers the true topology.
+func NeighborJoining(names []string, d [][]float64) (*tree.Tree, error) {
+	r := make([]float64, len(names)) // row sums over the active clusters
+	m := 0                           // active cluster count this round
+	return agglomerate(names, d, linkage{
+		keep: 3,
+		round: func(dist [][]float64, active []int) {
+			m = len(active)
+			for _, i := range active {
+				r[i] = 0
+				for _, j := range active {
+					r[i] += dist[i][j]
+				}
+			}
+		},
+		pick: func(dist [][]float64, i, j int) float64 {
+			return float64(m-2)*dist[i][j] - r[i] - r[j]
+		},
+		update: func(dist [][]float64, a, b, k, _, _ int) float64 {
+			nd := (dist[a][k] + dist[b][k] - dist[a][b]) / 2
+			if nd < 0 {
+				nd = 0
+			}
+			return nd
+		},
+	})
 }
 
 // PDistance returns the observed-proportion (Hamming) distance matrix of

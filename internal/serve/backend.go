@@ -67,15 +67,11 @@ type Backend struct {
 	sets  []core.ItemSet
 	names map[string]int
 
-	// Shard mode: support counts plus the shard's mining options. A
-	// packed shard (MaxDist ≤ MaxPackedDist) probes sup by packed IKey;
-	// a generic shard (mined past MaxPackedDist, so its distances do not
-	// fit IKey's 4-bit field) keeps string keys in gsup, exactly as
-	// core.SupportShard itself does. Exactly one of the two maps is set.
+	// Shard mode: support counts keyed by packed IKey, exactly as
+	// core.SupportShard keeps them, plus the shard's mining options.
 	// shOpts also carries the mining options in mapped mode, so the
 	// aggregate capability rules below read one field for both.
 	sup    map[core.IKey]int64
-	gsup   map[core.Key]int64
 	shOpts core.ForestOptions
 
 	// Mapped mode: a v4 file queried in place. No syms, no full listing,
@@ -203,10 +199,7 @@ func newIndexBackend(ix *store.Index) *Backend {
 
 // newShardBackend wraps a loaded v3 support shard. The snapshot's label
 // table is re-interned in order, so snapshot symbol IDs and backend
-// symbol IDs coincide and packed counts can be probed directly. A shard
-// mined past MaxPackedDist keeps string keys instead: its distances
-// overflow IKey's 4-bit field — NewIKey(a, b, 15) == NewIKey(a, b+1,
-// DistWild) — which would silently merge counts of distinct pairs.
+// symbol IDs coincide and packed counts can be probed directly.
 func newShardBackend(sh *core.SupportShard) *Backend {
 	opts, trees, labels, items := sh.Snapshot()
 	b := &Backend{
@@ -218,16 +211,9 @@ func newShardBackend(sh *core.SupportShard) *Backend {
 	for _, l := range labels {
 		b.syms.Intern(l)
 	}
-	if opts.MaxDist <= core.MaxPackedDist {
-		b.sup = make(map[core.IKey]int64, len(items))
-		for _, it := range items {
-			b.sup[core.NewIKey(it.A, it.B, it.D)] += it.N
-		}
-	} else {
-		b.gsup = make(map[core.Key]int64, len(items))
-		for _, it := range items {
-			b.gsup[core.NewKey(labels[it.A], labels[it.B], it.D)] += it.N
-		}
+	b.sup = make(map[core.IKey]int64, len(items))
+	for _, it := range items {
+		b.sup[core.NewIKey(it.A, it.B, it.D)] += it.N
 	}
 	b.full = sh.Finalize(1)
 	return b
@@ -288,23 +274,19 @@ func (b *Backend) Support(ctx context.Context, l1, l2 string, d core.Dist) (int,
 	}
 	if b.m != nil {
 		if !d.IsWild() && !b.m.Generic() && d > b.shOpts.MaxDist {
-			// Same guard as the packed map below: the true count is 0, and
-			// a packed probe past MaxPackedDist would overflow IKey's
-			// distance field. (A generic file compares distances as
-			// integers, so its lookup is total.)
+			// The true count is 0, and a probe past a packed v4 file's
+			// 4-bit distance field would read some other pair's count.
+			// (A generic file compares distances as integers, so its
+			// lookup is total.)
 			return 0, nil
 		}
 		return int(b.m.Support(l1, l2, d)), nil
 	}
-	if b.gsup != nil {
-		// Generic-mode shard: string-keyed counts answer any distance.
-		return int(b.gsup[core.NewKey(l1, l2, d)]), nil
-	}
-	if d > b.shOpts.MaxDist {
-		// Nothing was mined past MaxDist, so the true count is 0 — and a
-		// packed probe there would overflow IKey's distance field and
-		// read some other pair's count (parseDist admits distances up to
-		// 1<<16 halves, far past MaxPackedDist).
+	if d > min(b.shOpts.MaxDist, core.MaxPackedDist) {
+		// Nothing was mined past either bound, so the true count is 0 —
+		// and a packed probe past MaxPackedDist would overflow IKey's
+		// distance field and read some other pair's count (parseDist
+		// admits distances up to 1<<16 halves).
 		return 0, nil
 	}
 	a, ok1 := b.syms.Lookup(l1)

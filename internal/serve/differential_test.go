@@ -255,8 +255,9 @@ func TestServerDifferentialShard(t *testing.T) {
 }
 
 // deepChainForest appends to a diffForest two-armed chain trees whose
-// leaf pairs sit at cousin distances well past MaxPackedDist, so the
-// forest is guaranteed to mine items a packed IKey cannot carry.
+// leaf pairs sit at cousin distances well past D(14), so the forest is
+// guaranteed to mine items the old 4-bit IKey distance field could not
+// carry.
 func deepChainForest(t *testing.T, seed int64, n int) []*tree.Tree {
 	t.Helper()
 	trees, _ := diffForest(t, seed, n)
@@ -267,7 +268,7 @@ func deepChainForest(t *testing.T, seed int64, n int) []*tree.Tree {
 	var src strings.Builder
 	for i := 0; i < 4; i++ {
 		l1, l2 := labels[i*2%len(labels)], labels[(i*2+1)%len(labels)]
-		depth := 9 + i // cousin distance 8..11 = D(16)..D(22), all > MaxPackedDist
+		depth := 9 + i // cousin distance 8..11 = D(16)..D(22), all > D(14)
 		fmt.Fprintf(&src, "(%s,%s);\n", nest(l1, depth), nest(l2, depth))
 	}
 	chains, err := newick.ParseAll(strings.NewReader(src.String()))
@@ -277,17 +278,15 @@ func deepChainForest(t *testing.T, seed int64, n int) []*tree.Tree {
 	return append(trees, chains...)
 }
 
-// TestServerDifferentialShardGeneric: a shard mined past MaxPackedDist
-// runs in core's generic string-keyed mode, whose distances do not fit
-// the packed IKey's 4-bit field (NewIKey(a,b,15) == NewIKey(a,b+1,
-// DistWild)) — repacking such a shard used to silently merge counts of
-// distinct pairs. Every concrete-distance probe, including distances
-// past 7 and past the shard's own MaxDist, must match the index built
-// over the same forest; frequent listings must match the shard's own
-// Finalize.
+// TestServerDifferentialShardGeneric: a shard mined past D(14), the
+// bound of IKey's old 4-bit distance field (where NewIKey(a,b,15) ==
+// NewIKey(a,b+1,DistWild) once silently merged counts of distinct
+// pairs). Every concrete-distance probe, including distances past 7 and
+// past the shard's own MaxDist, must match the index built over the same
+// forest; frequent listings must match the shard's own Finalize.
 func TestServerDifferentialShardGeneric(t *testing.T) {
 	trees := deepChainForest(t, 63, 16)
-	opts := core.Options{MaxDist: core.MaxPackedDist + 8, MinOccur: 1}
+	opts := core.Options{MaxDist: core.D(22), MinOccur: 1}
 	fopts := core.ForestOptions{Options: opts, MinSup: 2}
 
 	sh := core.NewSupportShard(fopts)
@@ -311,12 +310,12 @@ func TestServerDifferentialShardGeneric(t *testing.T) {
 	// The region under test must actually exist in the mined data.
 	deep := 0
 	for _, p := range ix.Frequent(1) {
-		if p.Key.D > core.MaxPackedDist {
+		if p.Key.D > core.D(14) {
 			deep++
 		}
 	}
 	if deep == 0 {
-		t.Fatal("fixture mined no items past MaxPackedDist; the overflow region is untested")
+		t.Fatal("fixture mined no items past D(14); the overflow region is untested")
 	}
 
 	labels := diffLabels()
@@ -324,11 +323,11 @@ func TestServerDifferentialShardGeneric(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if rng.Intn(3) > 0 {
 			l1, l2 := labels[rng.Intn(len(labels))], labels[rng.Intn(len(labels))]
-			// Bias toward the overflow region: distances past
-			// MaxPackedDist, including past the shard's own MaxDist.
+			// Bias toward the overflow region: distances past D(14),
+			// including past the shard's own MaxDist.
 			d := core.Dist(rng.Intn(int(opts.MaxDist) + 6))
 			if rng.Intn(2) == 0 {
-				d += core.MaxPackedDist
+				d += core.D(14)
 			}
 			k := core.NewKey(l1, l2, d)
 			want := expect(t, supportResponse{

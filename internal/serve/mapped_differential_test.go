@@ -97,7 +97,7 @@ func mappedPairFromShard(t *testing.T, sh *core.SupportShard) (decoded, mapped *
 // in lockstep. Every query class a shard-shaped backend can see is
 // covered: concrete and wildcard support (valid or 501 depending on
 // ignoreDist, identical on both), unknown labels, distances past
-// MaxDist and past MaxPackedDist, frequent listings with limits and
+// MaxDist and past D(14), frequent listings with limits and
 // maxdist filters, stats with live cache counters, and tdist (501 on
 // both — aggregates have no per-tree item sets).
 func shardQueryMix(t *testing.T, seed int64, labels []string, maxDist core.Dist, decoded, mapped *httptest.Server) {
@@ -135,8 +135,8 @@ func shardQueryMix(t *testing.T, seed int64, labels []string, maxDist core.Dist,
 	}
 }
 
-// TestMappedDifferentialShard: packed-mode shard (MaxDist within
-// MaxPackedDist) vs its v4 compaction.
+// TestMappedDifferentialShard: a shard whose v4 compaction takes the
+// packed section (MaxDist within D(14)) vs that compaction.
 func TestMappedDifferentialShard(t *testing.T) {
 	trees, _ := diffForest(t, 41, 20)
 	maxD := core.D(3)
@@ -150,13 +150,13 @@ func TestMappedDifferentialShard(t *testing.T) {
 	shardQueryMix(t, 42, diffLabels(), maxD, decoded, mapped)
 }
 
-// TestMappedDifferentialShardGeneric: a shard mined past MaxPackedDist
-// compacts into the string-keyed v4 section; its probes — including
-// distances past 7 and past the shard's own MaxDist — must agree with
-// the decoded generic shard everywhere.
+// TestMappedDifferentialShardGeneric: a shard mined past D(14) compacts
+// into the string-keyed v4 section; its probes — including distances
+// past 7 and past the shard's own MaxDist — must agree with the decoded
+// shard everywhere.
 func TestMappedDifferentialShardGeneric(t *testing.T) {
 	trees := deepChainForest(t, 43, 14)
-	maxD := core.MaxPackedDist + 8
+	maxD := core.D(22)
 	sh := core.NewSupportShard(core.ForestOptions{
 		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2,
 	})
@@ -165,12 +165,12 @@ func TestMappedDifferentialShardGeneric(t *testing.T) {
 		sh.AddTree(tr)
 	}
 	for _, p := range sh.Finalize(1) {
-		if p.Key.D > core.MaxPackedDist {
+		if p.Key.D > core.D(14) {
 			deep++
 		}
 	}
 	if deep == 0 {
-		t.Fatal("fixture mined no items past MaxPackedDist; the generic section is untested")
+		t.Fatal("fixture mined no items past D(14); the generic section is untested")
 	}
 	decoded, mapped := mappedPairFromShard(t, sh)
 	shardQueryMix(t, 44, diffLabels(), maxD, decoded, mapped)

@@ -212,9 +212,10 @@ func TestShardBackendCapabilities(t *testing.T) {
 		t.Errorf("frequent on shard: %d", st)
 	}
 	// Distances past the shard's MaxDist were never mined, so the answer
-	// is 0 — in particular past MaxPackedDist (e.g. 8 = 16 halves), where
-	// a packed probe would overflow IKey's 4-bit distance field and could
-	// surface a different pair's nonzero count.
+	// is 0 — in particular past D(14) (e.g. 8 = 16 halves), where a probe
+	// once overflowed IKey's old 4-bit distance field, and past
+	// MaxPackedDist (32000 = 64000 halves), where a packed probe would
+	// overflow today's field and could surface a different pair's count.
 	for _, d := range []string{"2", "7.5", "8", "32000"} {
 		path := "/v1/support?l1=Gnetum&l2=Welwitschia&dist=" + d
 		if st, body := get(t, ts, path); st != http.StatusOK || !strings.Contains(body, `"support":0`) {

@@ -231,14 +231,8 @@ type SpillAccumulator struct {
 }
 
 // NewSpillAccumulator returns an accumulator spilling sh's counts into
-// dir whenever they exceed maxEntries. Only packed shards (MaxDist ≤
-// MaxPackedDist) can spill — a generic shard has no stable symbol table
-// for segment records to reference.
+// dir whenever they exceed maxEntries.
 func NewSpillAccumulator(sh *core.SupportShard, maxEntries int, dir string) (*SpillAccumulator, error) {
-	if sh.Options().MaxDist > core.MaxPackedDist {
-		return nil, fmt.Errorf("store: spill: maxdist %s exceeds the packed range (%s); out-of-core accumulation needs packed keys",
-			sh.Options().MaxDist, core.MaxPackedDist)
-	}
 	if maxEntries < 1 {
 		return nil, fmt.Errorf("store: spill: max resident entries must be positive, got %d", maxEntries)
 	}
@@ -262,12 +256,9 @@ func (a *SpillAccumulator) spill() error {
 	if err := faults.Hit(faults.SpillWrite); err != nil {
 		return err
 	}
-	items, err := a.sh.DrainSorted()
-	if err != nil {
-		return err
-	}
+	items := a.sh.DrainSorted()
 	path := filepath.Join(a.dir, fmt.Sprintf("spill-%04d.seg", len(a.segs)))
-	err = AtomicWrite(path, func(w io.Writer) error {
+	err := AtomicWrite(path, func(w io.Writer) error {
 		rw, err := newRunWriter(w, magicSeg, nil, uint64(len(items)))
 		if err != nil {
 			return err
@@ -303,10 +294,7 @@ func (a *SpillAccumulator) Finish(path string) error {
 		return err
 	}
 	// The resident tail joins the merge as an in-memory sorted run.
-	tail, err := a.sh.DrainSorted()
-	if err != nil {
-		return err
-	}
+	tail := a.sh.DrainSorted()
 	header := spillHeader{Opts: a.sh.Options(), Trees: a.sh.Trees(), Labels: a.sh.LocalLabels()}
 	var hbuf bytes.Buffer
 	if err := gob.NewEncoder(&hbuf).Encode(header); err != nil {
@@ -320,7 +308,7 @@ func (a *SpillAccumulator) Finish(path string) error {
 		return err
 	}
 	// Pass 2: merge again, streaming into the file.
-	err = AtomicWrite(path, func(w io.Writer) error {
+	err := AtomicWrite(path, func(w io.Writer) error {
 		rw, err := newRunWriter(w, magicSpill, hbuf.Bytes(), count)
 		if err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"treemine/internal/core"
 	"treemine/internal/faults"
 	"treemine/internal/tree"
+	"treemine/internal/treegen"
 )
 
 // spillMine runs the streaming miner over forest with an out-of-core
@@ -79,6 +80,59 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 	if got, exp := master.Finalize(opts.MinSup), want.Finalize(opts.MinSup); !reflect.DeepEqual(got, exp) {
 		t.Fatal("spilled run finalizes differently than a resident mine")
+	}
+}
+
+// deepChains returns n two-armed chain trees over shardForest's alphabet
+// whose leaf pairs sit at cousin distances 8, 9, … — D(16) upward, past
+// the old 4-bit IKey distance field's D(14).
+func deepChains(n int) []*tree.Tree {
+	labels := treegen.Alphabet(6)
+	out := make([]*tree.Tree, n)
+	for i := range out {
+		b := tree.NewBuilder()
+		r := b.RootUnlabeled()
+		for arm := 0; arm < 2; arm++ {
+			p := r
+			for k := 1; k < 9+i; k++ {
+				p = b.ChildUnlabeled(p)
+			}
+			b.Child(p, labels[(2*i+arm)%len(labels)])
+		}
+		out[i] = b.MustBuild()
+	}
+	return out
+}
+
+// TestSpillPastOldPackedDist: at maxdist D(16) and D(22), past the old
+// 4-bit distance field, a run spilled over several segments folds back
+// into a master whose v3 bytes equal a fully resident mine's.
+func TestSpillPastOldPackedDist(t *testing.T) {
+	forest := append(shardForest(31, 20, 40), deepChains(4)...)
+	for _, maxD := range []core.Dist{core.D(16), core.D(22)} {
+		opts := core.ForestOptions{Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2}
+		want := mineShard(forest, opts)
+		deep := 0
+		for _, p := range want.Finalize(1) {
+			if p.Key.D > core.D(14) {
+				deep++
+			}
+		}
+		if deep == 0 {
+			t.Fatalf("maxD=%s: fixture mined no items past D(14)", maxD)
+		}
+
+		path, segs := spillMine(t, forest, opts, 8, t.TempDir())
+		if segs < 2 {
+			t.Fatalf("maxD=%s: %d spill segments, want several", maxD, segs)
+		}
+		master := core.NewSupportShard(opts)
+		if _, err := FoldShardFile(master, path); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(shardBytes(t, master), shardBytes(t, want)) {
+			t.Fatalf("maxD=%s: spilled run folds to different bytes than a resident mine", maxD)
+		}
 	}
 }
 
@@ -298,16 +352,8 @@ func TestSpillWriteFailpoint(t *testing.T) {
 	}
 }
 
-// TestNewSpillAccumulatorRejects: generic-keyed shards and nonsense
-// budgets are refused up front.
+// TestNewSpillAccumulatorRejects: nonsense budgets are refused up front.
 func TestNewSpillAccumulatorRejects(t *testing.T) {
-	generic := core.ForestOptions{
-		Options: core.Options{MaxDist: core.MaxPackedDist + 2, MinOccur: 1},
-		MinSup:  2,
-	}
-	if _, err := NewSpillAccumulator(core.NewSupportShard(generic), 10, t.TempDir()); err == nil {
-		t.Fatal("accepted a generic-mode shard")
-	}
 	if _, err := NewSpillAccumulator(core.NewSupportShard(core.DefaultForestOptions()), 0, t.TempDir()); err == nil {
 		t.Fatal("accepted a zero budget")
 	}

@@ -6,23 +6,23 @@ package store
 // index size, nothing shared between processes), a v4 file IS the
 // queryable structure: a fixed-width header, the interned symbol table
 // as offset-indexed string data sorted by label, and the support table
-// as a sorted array of fixed-width (packed IKey, count) records — every
+// as a sorted array of fixed-width (packed key, count) records — every
 // lookup is a binary search directly on the mapped bytes, so a daemon
 // opens in ~O(1) and the kernel page cache shares the postings across
 // any number of processes.
 //
-// Shards mined past core.MaxPackedDist cannot use packed IKeys (the
-// 4-bit distance field overflows: NewIKey(a,b,15) == NewIKey(a,b+1,
-// DistWild), which PR 7's review fix established must never merge
-// distinct pairs' counts). Those compact into a string-keyed section
-// instead: length-prefixed (labelA, labelB, dist, count) records sorted
-// by (A, B, D) behind a fixed-width offset index, binary-searched by
-// direct byte comparison. A file holds exactly one of the two sections.
+// A packed key is a v4Key, the format's own 30|30|4 layout. Shards mined
+// past v4MaxPackedDist cannot use it (the 4-bit distance field would
+// overflow, merging distinct pairs' counts), so they compact into a
+// string-keyed section instead: length-prefixed (labelA, labelB, dist,
+// count) records sorted by (A, B, D) behind a fixed-width offset index,
+// binary-searched by direct byte comparison. A file holds exactly one of
+// the two sections.
 //
 // Both sections carry a support-descending permutation so frequent-pair
 // listings walk the mapped records in Finalize(1) order without
 // materializing anything. Symbol IDs in a v4 file are RANKS in the
-// sorted label table, which makes packed-IKey numeric order coincide
+// sorted label table, which makes packed-key numeric order coincide
 // with core.CompareKeys order — the base record order doubles as the
 // tie-break order, so the permutation is just a stable support sort.
 //
@@ -32,7 +32,7 @@ package store
 //	offset 12   fixed-width header (see v4Hdr* constants)
 //	            symbol offset index: (symCount+1) × u64, relative to symData
 //	            symbol string data (labels concatenated, sorted ascending)
-//	            packed postings: postCount × (IKey u64, count i64)
+//	            packed postings: postCount × (v4Key u64, count i64)
 //	            generic offset index: (genCount+1) × u64, relative to genData
 //	            generic records: lenA u32, lenB u32, dist i64, count i64, A, B
 //	            permutation: recCount × u32, support-descending stable order
@@ -87,11 +87,41 @@ const (
 	v4FlagIgnoreDist = 1 << 0
 	v4FlagGeneric    = 1 << 1
 
-	v4PostRecLen    = 16 // packed posting: IKey u64 + count i64
+	v4PostRecLen    = 16 // packed posting: v4Key u64 + count i64
 	v4GenPreludeLen = 24 // generic record prelude: lenA u32, lenB u32, d i64, n i64
 )
 
 var v4CRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// v4Key is a packed posting key as laid out on disk:
+//
+//	bits 34..63  rank of the smaller label (30 bits)
+//	bits  4..33  rank of the larger label (30 bits)
+//	bits  0..3   cousin distance + 1 (0 encodes the wildcard)
+//
+// The layout is fixed by the format, whatever core.IKey packs in memory.
+type v4Key uint64
+
+const (
+	v4SymBits  = 30
+	v4DistBits = 4
+	// v4MaxPackedDist is the largest distance a v4Key carries (7);
+	// files mined past it hold the generic section.
+	v4MaxPackedDist = core.Dist(1<<v4DistBits - 2)
+)
+
+func newV4Key(a, b uint32, d core.Dist) v4Key {
+	if b < a {
+		a, b = b, a
+	}
+	return v4Key(uint64(a)<<(v4SymBits+v4DistBits) | uint64(b)<<v4DistBits | uint64(d+1))
+}
+
+func (k v4Key) syms() (a, b uint32) {
+	return uint32(k >> (v4SymBits + v4DistBits)), uint32(k>>v4DistBits) & (1<<v4SymBits - 1)
+}
+
+func (k v4Key) dist() core.Dist { return core.Dist(k&(1<<v4DistBits-1)) - 1 }
 
 // v4image is the in-memory form a source index or shard is normalized
 // into before serialization: a canonical snapshot (no maps), so
@@ -107,13 +137,13 @@ type v4image struct {
 }
 
 func (img *v4image) generic() bool {
-	return !img.opts.MaxDist.IsWild() && img.opts.MaxDist > core.MaxPackedDist
+	return !img.opts.MaxDist.IsWild() && img.opts.MaxDist > v4MaxPackedDist
 }
 
 // imageFromSnapshot turns a canonical shard snapshot (the v3 payload
 // shape) into a v4 image. A Snapshot's labels ascend strictly and its
 // rank-coded keys ascend strictly, so with symbol IDs as ranks its item
-// order already is the record order — packed-IKey numeric order and
+// order already is the record order — packed-key numeric order and
 // core.CompareKeys order alike. Both invariants are checked, not
 // restored; the only sort left is the support-descending permutation.
 func imageFromSnapshot(opts core.ForestOptions, trees int, labels []string, items []core.ShardItem) (*v4image, error) {
@@ -224,7 +254,7 @@ func (img *v4image) appendV4() []byte {
 		postCount = len(img.recs)
 		post = make([]byte, 0, v4PostRecLen*postCount)
 		for _, r := range img.recs {
-			post = binary.LittleEndian.AppendUint64(post, uint64(core.NewIKey(r.A, r.B, r.D)))
+			post = binary.LittleEndian.AppendUint64(post, uint64(newV4Key(r.A, r.B, r.D)))
 			post = binary.LittleEndian.AppendUint64(post, uint64(r.N))
 		}
 	}
@@ -439,7 +469,7 @@ func OpenMappedBytes(data []byte) (*Mapped, error) {
 	if m.trees < 0 || m.items < 0 || m.opts.MaxDist < 0 || m.opts.MinOccur < 0 || m.opts.MinSup < 0 {
 		return nil, v4Corrupt("negative header field (trees %d, items %d, opts %+v)", m.trees, m.items, m.opts)
 	}
-	if wantGeneric := m.opts.MaxDist > core.MaxPackedDist; wantGeneric != m.generic {
+	if wantGeneric := m.opts.MaxDist > v4MaxPackedDist; wantGeneric != m.generic {
 		return nil, v4Corrupt("generic flag %v inconsistent with maxdist %s", m.generic, m.opts.MaxDist)
 	}
 
@@ -571,12 +601,11 @@ func (m *Mapped) validateRecords() error {
 		if n < 1 {
 			return v4Corrupt("posting #%d has non-positive count %d", i, n)
 		}
-		ik := core.IKey(key)
-		a, b := ik.Syms()
+		a, b := v4Key(key).syms()
 		if int(a) >= m.symCount || int(b) >= m.symCount {
 			return v4Corrupt("posting #%d references symbol out of range (%d, %d of %d)", i, a, b, m.symCount)
 		}
-		if err := m.checkDist(ik.Dist()); err != nil {
+		if err := m.checkDist(v4Key(key).dist()); err != nil {
 			return fmt.Errorf("%w (posting #%d)", err, i)
 		}
 	}
@@ -679,7 +708,7 @@ func (m *Mapped) Trees() int { return m.trees }
 func (m *Mapped) Items() int64 { return m.items }
 
 // Generic reports whether the file uses the string-keyed section
-// (source mined past core.MaxPackedDist).
+// (source mined past v4MaxPackedDist).
 func (m *Mapped) Generic() bool { return m.generic }
 
 // Len returns the number of support records.
@@ -748,9 +777,9 @@ func (m *Mapped) LookupSymbol(label string) (uint32, bool) {
 }
 
 // postingAt decodes packed record i.
-func (m *Mapped) postingAt(i int) (core.IKey, int64) {
+func (m *Mapped) postingAt(i int) (v4Key, int64) {
 	le := binary.LittleEndian
-	return core.IKey(le.Uint64(m.post[i*v4PostRecLen:])), int64(le.Uint64(m.post[i*v4PostRecLen+8:]))
+	return v4Key(le.Uint64(m.post[i*v4PostRecLen:])), int64(le.Uint64(m.post[i*v4PostRecLen+8:]))
 }
 
 // genAt decodes generic record i into its byte views (no copies).
@@ -809,7 +838,7 @@ func (m *Mapped) Support(l1, l2 string, d core.Dist) int64 {
 	if !ok1 || !ok2 {
 		return 0
 	}
-	want := uint64(core.NewIKey(ra, rb, d))
+	want := uint64(newV4Key(ra, rb, d))
 	le := binary.LittleEndian
 	lo, hi := 0, m.postCount
 	for lo < hi {
@@ -849,7 +878,7 @@ func (m *Mapped) DistAt(rec int) core.Dist {
 		return d
 	}
 	k, _ := m.postingAt(rec)
-	return k.Dist()
+	return k.dist()
 }
 
 // PairAt materializes record rec as a public FrequentPair (this is the
@@ -860,9 +889,9 @@ func (m *Mapped) PairAt(rec int) core.FrequentPair {
 		return core.FrequentPair{Key: core.Key{A: string(a), B: string(b), D: d}, Support: int(n)}
 	}
 	k, n := m.postingAt(rec)
-	a, b := k.Syms()
+	a, b := k.syms()
 	return core.FrequentPair{
-		Key:     core.Key{A: m.Symbol(int(a)), B: m.Symbol(int(b)), D: k.Dist()},
+		Key:     core.Key{A: m.Symbol(int(a)), B: m.Symbol(int(b)), D: k.dist()},
 		Support: int(n),
 	}
 }

@@ -87,8 +87,8 @@ func TestV4ImageMatchesOracle(t *testing.T) {
 		}{
 			{"packed", core.D(4), false},
 			{"ignoredist", core.D(4), true},
-			{"generic", core.MaxPackedDist + 3, false},
-			{"generic-ignoredist", core.MaxPackedDist + 3, true},
+			{"generic", core.D(17), false},
+			{"generic-ignoredist", core.D(17), true},
 		} {
 			opts := core.ForestOptions{Options: core.Options{MaxDist: tc.maxD, MinOccur: 1}, MinSup: 2, IgnoreDist: tc.ignore}
 			sh := mineShard(forest, opts)
@@ -107,7 +107,7 @@ func TestV4ImageMatchesOracle(t *testing.T) {
 			}
 		}
 
-		for _, maxD := range []core.Dist{core.D(4), core.MaxPackedDist + 3} {
+		for _, maxD := range []core.Dist{core.D(4), core.D(17)} {
 			ix, err := Build(forest, nil, core.Options{MaxDist: maxD, MinOccur: 1})
 			if err != nil {
 				t.Fatal(err)

@@ -43,7 +43,7 @@ func TestCompactShardV4RoundTrip(t *testing.T) {
 		ignore bool
 	}{
 		{"packed", core.D(4), false},
-		{"generic", core.MaxPackedDist + 3, false},
+		{"generic", core.D(17), false},
 		{"ignoredist", core.D(4), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +64,7 @@ func TestCompactShardV4RoundTrip(t *testing.T) {
 			if m.Options() != opts {
 				t.Fatalf("options = %+v, want %+v", m.Options(), opts)
 			}
-			wantGeneric := tc.maxD > core.MaxPackedDist
+			wantGeneric := tc.maxD > v4MaxPackedDist
 			if m.Generic() != wantGeneric {
 				t.Fatalf("generic = %v, want %v", m.Generic(), wantGeneric)
 			}
@@ -317,7 +317,7 @@ func TestMappedSupportZeroAlloc(t *testing.T) {
 	for _, generic := range []bool{false, true} {
 		maxD := core.D(4)
 		if generic {
-			maxD = core.MaxPackedDist + 2
+			maxD = core.D(16)
 		}
 		sh := mineShard(shardForest(25, 10, 30), core.ForestOptions{
 			Options: core.Options{MaxDist: maxD, MinOccur: 1},
